@@ -1,13 +1,15 @@
 """Command-line entry point multiplexing the package's operations.
 
 Verdict subcommands print YES or NO and exit 0 regardless of the verdict;
-usage errors exit 2 and exceeded caps exit 3.  All output is deterministic:
-identical inputs produce byte-identical files.
+malformed input files and failed preconditions exit 1 with one ``ERROR:``
+line, usage errors exit 2 and exceeded caps exit 3.  All output is
+deterministic: identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -25,6 +27,7 @@ from .graph import (
     LinearOrdering,
     format_edge_list,
     parse_edge_list,
+    parse_int_pairs,
 )
 
 EXIT_OK = 0
@@ -34,6 +37,9 @@ EXIT_CAP = 3
 
 VARIANT_NAMES = {"1p": "1planar", "g1p": "geo1planar",
                  "kp": "kplanar", "gkp": "geo-kplanar"}
+THRESHOLD_KEYS = {"rule1": "rule1", "rule2-baseline": "rule2_baseline",
+                  "rule2-reject": "rule2_reject",
+                  "rule3-reject": "rule3_reject"}
 
 
 def _read(path: str) -> str:
@@ -44,24 +50,45 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text)
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """Turn a parse failure inside the block into a one-line GraphError."""
+    try:
+        yield
+    except (GraphError, EmbeddingError):
+        raise
+    except (KeyError, TypeError, ValueError) as err:
+        raise GraphError(
+            f"malformed {what}: {type(err).__name__}: {err}") from None
+
+
 def _load_graph(path: str) -> Graph:
     return parse_edge_list(_read(path))
 
 
 def _load_gadget(path: str) -> reductions.TwoTerminalGadget:
-    obj = json.loads(_read(path))
-    g = Graph.build([tuple(p) for p in obj["edges"]])
-    return reductions.TwoTerminalGadget(g, obj["alpha"], obj["beta"])
+    with _malformed(f"gadget {path}"):
+        obj = json.loads(_read(path))
+        g = Graph.build([tuple(p) for p in obj["edges"]])
+        return reductions.TwoTerminalGadget(g, obj["alpha"], obj["beta"])
 
 
 def _load_ordering(path: str) -> LinearOrdering:
-    position = {}
-    for raw in _read(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            v, p = (int(x) for x in line.split())
-            position[v] = p
-    return LinearOrdering(position)
+    pairs = parse_int_pairs(_read(path), "vertex position")
+    return LinearOrdering(dict(pairs))
+
+
+def _load_thresholds(text: str) -> td_pipeline.Thresholds:
+    with _malformed("--override-thresholds"):
+        raw = json.loads(text)
+    if (not isinstance(raw, dict) or not set(raw) <= set(THRESHOLD_KEYS)
+            or any(v is not None and type(v) is not int
+                   for v in raw.values())):
+        raise GraphError(
+            "--override-thresholds: expected a JSON object with integer "
+            f"values under keys among {', '.join(THRESHOLD_KEYS)}, got {text!r}")
+    return td_pipeline.Thresholds(
+        **{THRESHOLD_KEYS[k]: v for k, v in raw.items()})
 
 
 arc_system_to_json = surgery.arc_system_to_json
@@ -128,7 +155,8 @@ def _cmd_check_embedding(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
-    sys_ = arc_system_from_json(_read(args.infile))
+    with _malformed(f"arc system {args.infile}"):
+        sys_ = arc_system_from_json(_read(args.infile))
     simplified = surgery.simplify(sys_)
     arr = simplified.arrangement
     demand = max((arr.crossings_of_curve(c) for c in arr.arc_curve_ids()),
@@ -160,12 +188,7 @@ def _cmd_td_run(args) -> int:
             _read(args.decomposition))
     overrides = None
     if args.override_thresholds:
-        raw = json.loads(args.override_thresholds)
-        overrides = td_pipeline.Thresholds(
-            rule1=raw.get("rule1"),
-            rule2_baseline=raw.get("rule2-baseline"),
-            rule2_reject=raw.get("rule2-reject"),
-            rule3_reject=raw.get("rule3-reject"))
+        overrides = _load_thresholds(args.override_thresholds)
     out = td_pipeline.run_pipeline(g, decomposition=decomposition,
                                    overrides=overrides, oracle_cap=args.cap)
     _report(args.log, {
@@ -184,8 +207,8 @@ def _cmd_td_run(args) -> int:
 
 
 def _cmd_gen_binpack(args) -> int:
-    sizes = tuple(int(x) for x in args.items.split(",") if x.strip()) \
-        if args.items else ()
+    with _malformed("--items"):
+        sizes = tuple(int(x) for x in args.items.split(",") if x.strip())
     inst = reductions.BinPackInstance(sizes, args.bins, args.capacity)
     li = reductions.gen_binpack_instance(inst, raw=args.raw)
     _write(args.out, format_edge_list(li.graph))

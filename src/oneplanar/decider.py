@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .embedding import CrossingPair, PlaneEmbedding, validate_embedding
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, connected_components
 from .straightening import candidate_configurations
 
 DEFAULT_EDGE_CAP = 11
@@ -242,19 +242,7 @@ def _system_iter(g: Graph, assignment: CrossingAssignment,
     for x, y in plan_segments:
         adj[x].add(y)
         adj[y].add(x)
-    seen: set[int] = set()
-    comps = 0
-    for v in nodes:
-        if v not in seen:
-            comps += 1
-            stack = [v]
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+    comps = len(connected_components(adj, adj.__getitem__))
 
     nd = 2 * len(plan_segments)
     want_faces = 2 * comps - len(nodes) + len(plan_segments)
@@ -395,9 +383,7 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
             for outer in range(len(fverts)):
                 if not _check_predicate_faces(pred, fverts, shared, outer):
                     continue
-                if any(c.far_side is not None
-                       and c.far_side != c.side_of_face[outer]
-                       for c in cands):
+                if any(c.is_configuration(outer) for c in cands):
                     continue
                 witness = None
                 if want_witness:
@@ -448,7 +434,7 @@ def decide(g: Graph, pred: Predicate, cap: int = DEFAULT_EDGE_CAP,
     if memo is not None:
         key = (canonical_key(g, pred.anchors), pred.variant, pred.geometric,
                pred.k, cap)
-        if key in memo:
+        if key in memo and not want_witness:  # a hit has no witness to give
             return Verdict(memo[key], None, 0)
         verdict = decide(g, pred, cap=cap, memo=None,
                          want_witness=want_witness)

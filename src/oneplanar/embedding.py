@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, connected_components
 
 Dart = tuple[int, int, int]
 
@@ -100,23 +100,7 @@ class Planarization:
         for a, b in self.segments:
             adj[a].add(b)
             adj[b].add(a)
-        seen: set[int] = set()
-        comps = []
-        for s in sorted(adj):
-            if s in seen:
-                continue
-            comp = {s}
-            seen.add(s)
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return comps
+        return connected_components(adj, adj.__getitem__)
 
     def check_genus_zero(self) -> None:
         """Euler check per connected component: V - E + F == 2."""
@@ -267,10 +251,6 @@ class PlaneEmbedding:
     def crossings_of_edge(self, e: int) -> int:
         return len(self.edge_order.get(e, ()))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.graph.edges
-
     # -- queries ---------------------------------------------------------------
 
     def shared_region(self, a: int, b: int) -> Optional[tuple[int, bool]]:
@@ -285,12 +265,6 @@ class PlaneEmbedding:
         if self.outer_face in common:
             return (self.outer_face, True)
         return (min(common), False)
-
-
-def dummy_ids(g: Graph, crossings: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """Dummy vertex ids assigned to the crossing list, in order."""
-    base = max(g.vertices, default=-1) + 1
-    return tuple(base + i for i in range(len(crossings)))
 
 
 def build_embedding(

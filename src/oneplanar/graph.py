@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Collection, Container, Iterable, Optional
 
 
 class GraphError(ValueError):
@@ -106,22 +106,7 @@ class Graph:
         raise GraphError(f"vertex {v} not an endpoint of edge {e}")
 
     def components(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            stack, comp = [start], {start}
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for w in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return comps
+        return connected_components(self.vertices, self.neighbors)
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -149,24 +134,97 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# Edge-list text format
+# Traversals shared across the package
 # ---------------------------------------------------------------------------
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the plain text format: one "u v" pair per line, '#' comments and
-    blank lines ignored, vertex ids non-negative integers."""
+def connected_components(nodes: Collection[int],
+                         neighbors: Callable[[int], Iterable[int]]
+                         ) -> list[frozenset[int]]:
+    """Connected components of the graph that ``neighbors`` induces on
+    ``nodes``, ordered by their smallest node.  ``nodes`` is only iterated
+    and tested with ``in``, so a vertex subset needs no copy."""
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        stack, comp = [start], {start}
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            for w in neighbors(v):
+                if w not in seen and w in nodes:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def degree2_walks(g: Graph, edges: Iterable[int], inner: Container[int]
+                  ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Partition ``edges`` into maximal walks whose internal vertices all lie
+    in ``inner``; every inner vertex must have degree 2 with both its edges
+    among ``edges``.  Returns (edge ids, vertex walk) pairs.  Walks leave
+    the vertices outside ``inner`` in increasing order; the cycles left
+    over (all vertices inner) start at their smallest edge and close, so
+    their vertex walk ends where it starts."""
+    unused = set(edges)
+    walks = []
+
+    def walk(start: int, first_edge: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        edge_seq = [first_edge]
+        vert_seq = [start, g.other_end(first_edge, start)]
+        unused.discard(first_edge)
+        while vert_seq[-1] in inner and vert_seq[-1] != start:
+            v = vert_seq[-1]
+            (_, a), (_, b) = g.adjacency[v]  # inner: exactly two edges
+            e = b if a == edge_seq[-1] else a
+            edge_seq.append(e)
+            vert_seq.append(g.other_end(e, v))
+            unused.discard(e)
+        return tuple(edge_seq), tuple(vert_seq)
+
+    for v in sorted(g.vertices):
+        if v in inner:
+            continue
+        for _, e in g.adjacency[v]:
+            if e in unused:
+                walks.append(walk(v, e))
+    while unused:
+        e = min(unused)
+        walks.append(walk(min(g.edges[e]), e))
+    return walks
+
+
+# ---------------------------------------------------------------------------
+# Text formats: one pair of integers per line
+# ---------------------------------------------------------------------------
+
+def parse_int_pairs(text: str, form: str) -> list[tuple[int, int]]:
+    """One pair of integers per line, '#' comments and blank lines ignored;
+    ``form`` names the pair in the error message (e.g. 'u v')."""
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v', got {raw!r}")
-        u, v = (int(p) for p in parts)
-        if u < 0 or v < 0:
-            raise GraphError(f"line {lineno}: negative vertex id")
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise GraphError(
+                f"line {lineno}: expected '{form}', got {raw!r}") from None
         pairs.append((u, v))
+    return pairs
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the plain text format: one "u v" pair per line, '#' comments and
+    blank lines ignored, vertex ids non-negative integers."""
+    pairs = parse_int_pairs(text, "u v")
+    for u, v in pairs:
+        if u < 0 or v < 0:
+            raise GraphError(f"negative vertex id in '{u} {v}'")
     return Graph.build(pairs)
 
 
@@ -218,10 +276,6 @@ class BlockCutTree:
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
     incidence: tuple[tuple[int, int], ...]
-    root: Optional[int] = None
-
-    def blocks_at(self, v: int) -> tuple[int, ...]:
-        return tuple(b for c, b in self.incidence if c == v)
 
 
 @dataclass(frozen=True)
@@ -276,6 +330,8 @@ class TreedepthDecomposition:
     def validate(self, g: Graph) -> None:
         if set(self.parent) != set(g.vertices):
             raise GraphError("decomposition does not cover V(g)")
+        if not set(self.parent.values()) <= set(self.parent) | {-1}:
+            raise GraphError("decomposition has a parent outside V(g)")
         for v in self.parent:  # acyclicity of parent pointers
             seen = set()
             u = v
@@ -348,30 +404,8 @@ def decompose_degree2_paths(g: Graph) -> Degree2PathDecomposition:
         if g.degree(v) <= 1:
             raise GraphError(f"vertex {v} has degree {g.degree(v)} < 2")
 
-    branch = {v for v in g.vertices if g.degree(v) != 2}
-    unused = set(g.edges)
-    raw: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def walk(start: int, first_edge: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        edge_seq = [first_edge]
-        vert_seq = [start, g.other_end(first_edge, start)]
-        unused.discard(first_edge)
-        while vert_seq[-1] not in branch and vert_seq[-1] != start:
-            v = vert_seq[-1]
-            nxt = [e for _, e in g.adjacency[v] if e != edge_seq[-1]]
-            edge_seq.append(nxt[0])
-            vert_seq.append(g.other_end(nxt[0], v))
-            unused.discard(nxt[0])
-        return tuple(edge_seq), tuple(vert_seq)
-
-    for v in sorted(branch):
-        for _, e in g.adjacency[v]:
-            if e in unused:
-                raw.append(walk(v, e))
-    # leftovers are pure cycle components (all their vertices have degree 2)
-    while unused:
-        e = min(unused)
-        raw.append(walk(min(g.edges[e]), e))
+    raw = degree2_walks(g, g.edges,
+                        {v for v in g.vertices if g.degree(v) == 2})
 
     def canon(item: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple:
         edges, verts = item
@@ -386,7 +420,7 @@ def decompose_degree2_paths(g: Graph) -> Degree2PathDecomposition:
     )
 
 
-def block_cut_tree(g: Graph, root: Optional[int] = None) -> BlockCutTree:
+def block_cut_tree(g: Graph) -> BlockCutTree:
     """Biconnected components via iterative lowpoint DFS. Rejects
     disconnected input; callers split components first."""
     if not g.vertices:
@@ -447,7 +481,7 @@ def block_cut_tree(g: Graph, root: Optional[int] = None) -> BlockCutTree:
                     cuts.add(u)
 
     if g.m == 0:  # single vertex
-        return BlockCutTree((frozenset(g.vertices),), frozenset(), (), root)
+        return BlockCutTree((frozenset(g.vertices),), frozenset(), ())
 
     blocks = tuple(frozenset(x for e in blk for x in g.edges[e])
                    for blk in blocks_edges)
@@ -456,7 +490,7 @@ def block_cut_tree(g: Graph, root: Optional[int] = None) -> BlockCutTree:
         cuts.add(start)
     incidence = tuple(sorted((c, i) for i, b in enumerate(blocks)
                              for c in cuts if c in b))
-    return BlockCutTree(blocks, frozenset(cuts), incidence, root)
+    return BlockCutTree(blocks, frozenset(cuts), incidence)
 
 
 def treedepth_decomposition(g: Graph, budget: Optional[int] = None,
@@ -471,22 +505,10 @@ def treedepth_decomposition(g: Graph, budget: Optional[int] = None,
     memo: dict[frozenset[int], int] = {}
     choice: dict[frozenset[int], int] = {}
 
+    nbrs = {v: g.neighbors(v) for v in g.vertices}
+
     def comps(vs: frozenset[int]) -> list[frozenset[int]]:
-        left = set(vs)
-        out = []
-        while left:
-            s = min(left)
-            comp = {s}
-            stk = [s]
-            while stk:
-                v = stk.pop()
-                for w in g.neighbors(v):
-                    if w in vs and w not in comp:
-                        comp.add(w)
-                        stk.append(w)
-            out.append(frozenset(comp))
-            left -= comp
-        return out
+        return connected_components(vs, nbrs.__getitem__)
 
     def td(vs: frozenset[int]) -> int:
         if len(vs) <= 1:

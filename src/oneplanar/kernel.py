@@ -16,7 +16,7 @@ by a path of exactly the threshold length at j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -84,8 +84,8 @@ def kernelize(g: Graph, variant: str, k: Optional[int] = None) -> KernelResult:
     if variant == "kplanar":
         if not k or k < 1:
             raise GraphError("kplanar variant requires k >= 1")
-        return _with_variant(kernelize(subdivide_all_edges(g, k), "1planar"),
-                             "kplanar")
+        res = kernelize(subdivide_all_edges(g, k), "1planar")
+        return replace(res, plan=replace(res.plan, variant="kplanar"))
 
     pruned = prune_degree_one(g)
     ell = feedback_edge_set(pruned).ell
@@ -149,13 +149,6 @@ def kernelize(g: Graph, variant: str, k: Optional[int] = None) -> KernelResult:
     plan = KernelPlan(variant, dec, p, ell, j, threshold,
                       tuple(classification), tuple(prefix))
     return KernelResult(kernel, plan, provenance)
-
-
-def _with_variant(res: KernelResult, variant: str) -> KernelResult:
-    plan = KernelPlan(variant, res.plan.decomposition, res.plan.p,
-                      res.plan.ell, res.plan.j, res.plan.threshold,
-                      res.plan.classification, res.plan.prefix_sums)
-    return KernelResult(res.kernel, plan, res.provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, GraphError, LinearOrdering
+from .graph import Graph, GraphError, LinearOrdering, degree2_walks
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,8 @@ def pathwidth_witness(li: LabeledInstance) -> list[frozenset[int]]:
         if sub.m == 0:
             bags.append(frozenset(comp))
         elif all(sub.degree(v) <= 2 for v in comp):  # path component
-            order = _path_order(sub)
+            ((_, order),) = degree2_walks(
+                sub, sub.edges, {v for v in comp if sub.degree(v) == 2})
             bags.extend(frozenset(p) for p in zip(order, order[1:]))
         elif len(comp) <= 4:  # K4 remnants of the gadgets
             bags.append(frozenset(comp))
@@ -262,18 +263,6 @@ def pathwidth_witness(li: LabeledInstance) -> list[frozenset[int]]:
     bags = [b | frame_set for b in bags]
     validate_path_decomposition(g, bags)
     return bags
-
-
-def _path_order(g: Graph) -> list[int]:
-    ends = sorted(v for v in g.vertices if g.degree(v) <= 1)
-    start = ends[0] if ends else min(g.vertices)
-    order = [start]
-    prev = None
-    while len(order) < g.n:
-        nxt = [w for w in g.neighbors(order[-1]) if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
 
 
 def validate_path_decomposition(g: Graph, bags: list[frozenset[int]]) -> int:
@@ -349,6 +338,8 @@ def bandwidth_lift(g: Graph, sigma: LinearOrdering, h: TwoTerminalGadget
     """Column construction: every vertex x takes the gadget internals of its
     upward edges into its column; the measured bandwidth of the result is
     at most (b+1)(1+(t-2)b) for b the bandwidth of sigma."""
+    if set(sigma.position) != g.vertices:
+        raise GraphError("ordering does not cover exactly V(g)")
     lifted, copies = _replace_with_copies(g, h)
     order = sorted(g.vertices, key=lambda v: sigma.position[v])
     position: dict[int, int] = {}

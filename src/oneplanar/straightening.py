@@ -62,6 +62,12 @@ class _Candidate:
     side_of_face: tuple[int, ...]
     far_side: Optional[int]  # side holding all far endpoints, if uniform
 
+    def is_configuration(self, outer_face: int) -> bool:
+        """True when the far endpoints all lie on the bounded side, i.e. the
+        candidate is a B/W configuration for this outer face."""
+        return (self.far_side is not None
+                and self.far_side != self.side_of_face[outer_face])
+
 
 def _require_one_planar(emb: PlaneEmbedding) -> None:
     for e in emb.graph.edges:
@@ -154,9 +160,7 @@ def configurations_for_outer(cands: list[_Candidate], outer_face: int
                              ) -> list[BWConfiguration]:
     found = []
     for c in cands:
-        if c.far_side is None:
-            continue
-        if c.far_side != c.side_of_face[outer_face]:
+        if c.is_configuration(outer_face):
             bounded = frozenset(f for f, s in enumerate(c.side_of_face)
                                 if s == c.far_side)
             found.append(BWConfiguration(c.kind, c.anchors, c.crossings,
@@ -173,10 +177,8 @@ def find_bw_configurations(emb: PlaneEmbedding) -> list[BWConfiguration]:
 
 def is_straightenable(emb: PlaneEmbedding) -> bool:
     outer = emb.outer_face
-    for c in candidate_configurations(emb):
-        if c.far_side is not None and c.far_side != c.side_of_face[outer]:
-            return False
-    return True
+    return not any(c.is_configuration(outer)
+                   for c in candidate_configurations(emb))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .embedding import (
     embedding_to_json,
     validate_embedding,
 )
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, degree2_walks
 
 _END0, _END1 = 0, 1
 
@@ -59,29 +59,9 @@ def arc_system(host: PlaneEmbedding, static_edges: Iterable[int]) -> ArcSystem:
                    if g.degree(v) == 2
                    and all(e in flexible for e in g.incident_edges(v))}
 
-    unused = set(flexible)
-    arcs: list[Arc] = []
-
-    def walk(start: int, first_edge: int) -> Arc:
-        edges = [first_edge]
-        verts = [start, g.other_end(first_edge, start)]
-        unused.discard(first_edge)
-        while verts[-1] in internal_ok and verts[-1] != start:
-            v = verts[-1]
-            nxt = [e for _, e in g.adjacency[v] if e != edges[-1]]
-            edges.append(nxt[0])
-            verts.append(g.other_end(nxt[0], v))
-            unused.discard(nxt[0])
-        return Arc(tuple(edges), (verts[0], verts[-1]))
-
-    for v in sorted(g.vertices - internal_ok):
-        for _, e in g.adjacency[v]:
-            if e in unused:
-                arcs.append(walk(v, e))
-    while unused:  # pure flexible cycles
-        e = min(unused)
-        arcs.append(walk(min(g.edges[e]), e))
-    return ArcSystem(host, static, tuple(arcs))
+    arcs = tuple(Arc(edges, (verts[0], verts[-1]))
+                 for edges, verts in degree2_walks(g, flexible, internal_ok))
+    return ArcSystem(host, static, arcs)
 
 
 def arc_vertex_walk(g: Graph, arc: Arc) -> tuple[int, ...]:
@@ -508,12 +488,6 @@ class SimplifiedSystem:
     @property
     def f(self) -> int:
         return len(self.original.arcs)
-
-    def arc_crossings(self, arc_index: int) -> int:
-        for cid, curve in self.arrangement.curves.items():
-            if curve.kind == "arc" and curve.ref == arc_index:
-                return len(curve.seq)
-        raise GraphError(f"no arc {arc_index}")
 
 
 def simplify(sys: ArcSystem, check_each_step: bool = True) -> SimplifiedSystem:

@@ -24,6 +24,8 @@ from .graph import (
     GraphError,
     TreedepthDecomposition,
     block_cut_tree,
+    connected_components,
+    parse_int_pairs,
     treedepth_decomposition,
 )
 
@@ -87,16 +89,8 @@ class PipelineOutcome:
 
 def parse_decomposition(text: str) -> TreedepthDecomposition:
     """One "vertex parent" pair per line, roots marked with parent -1."""
-    parent = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'vertex parent'")
-        parent[int(parts[0])] = int(parts[1])
-    return TreedepthDecomposition(parent)
+    return TreedepthDecomposition(
+        dict(parse_int_pairs(text, "vertex parent")))
 
 
 def normalize_decomposition(g: Graph, t: TreedepthDecomposition
@@ -113,7 +107,7 @@ def normalize_decomposition(g: Graph, t: TreedepthDecomposition
             if parent[v] == -1:
                 continue
             desc = work.descendants(v)
-            comps = g.induced_subgraph(desc).components()
+            comps = connected_components(desc, g.neighbors)
             if len(comps) > 1:
                 # split: components not holding v become separate children
                 for comp in comps:
@@ -140,6 +134,16 @@ def _attachment(ctx: TDContext, c: int) -> frozenset[int]:
     return frozenset(out - desc)
 
 
+def _children_by_attachment(ctx: TDContext, v: int
+                            ) -> dict[frozenset[int], list[int]]:
+    """The children of v grouped by attachment set, each group in child
+    order; Rule I reads the groups of size >= 3, Rule II those of size 2."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for c in ctx.decomposition.children.get(v, ()):
+        groups.setdefault(_attachment(ctx, c), []).append(c)
+    return groups
+
+
 def _delete_subtree(ctx: TDContext, c: int, rule: str, reason: dict) -> None:
     desc = ctx.decomposition.descendants(c)
     ctx.graph = ctx.graph.remove_vertices(desc)
@@ -157,25 +161,16 @@ def _delete_subtree(ctx: TDContext, c: int, rule: str, reason: dict) -> None:
 def apply_rule1(ctx: TDContext, v: int) -> Optional[dict]:
     """Reject when >= threshold children of v share one attachment set of
     size >= 3."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for c in ctx.decomposition.children.get(v, ()):
-        x = _attachment(ctx, c)
-        if len(x) >= 3:
-            groups.setdefault(x, []).append(c)
+    groups = _children_by_attachment(ctx, v)
     limit = ctx.thresholds.rule1_at(ctx.d)
     for x, members in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
-        if len(members) >= limit:
+        if len(x) >= 3 and len(members) >= limit:
             info = {"rule": "I", "action": "reject", "node": v,
                     "attachment": sorted(x), "count": len(members),
                     "threshold": limit}
             ctx.log.append(info)
             return info
     return None
-
-
-def _rule2_children(ctx: TDContext, v: int, a: int, b: int) -> list[int]:
-    return [c for c in ctx.decomposition.children.get(v, ())
-            if _attachment(ctx, c) == frozenset((a, b))]
 
 
 def _child_test_graph(ctx: TDContext, c: int, a: int, b: int) -> Graph:
@@ -197,7 +192,7 @@ def apply_rule2(ctx: TDContext, v: int, a: int, b: int) -> str:
 
     Returns one of "noop", "mutated", "rejected", "skipped"."""
     baseline = ctx.thresholds.rule2_baseline_at(ctx.d)
-    children = _rule2_children(ctx, v, a, b)
+    children = _children_by_attachment(ctx, v).get(frozenset((a, b)), [])
     if len(children) <= baseline:
         return "noop"
     if rules_apply_below(ctx, v):
@@ -234,32 +229,16 @@ def apply_rule2(ctx: TDContext, v: int, a: int, b: int) -> str:
     return "mutated" if mutated else "noop"
 
 
-def rule1_applies(ctx: TDContext, v: int) -> bool:
-    groups: dict[frozenset[int], int] = {}
-    for c in ctx.decomposition.children.get(v, ()):
-        x = _attachment(ctx, c)
-        if len(x) >= 3:
-            groups[x] = groups.get(x, 0) + 1
-    limit = ctx.thresholds.rule1_at(ctx.d)
-    return any(n >= limit for n in groups.values())
-
-
-def rule2_applies(ctx: TDContext, v: int) -> bool:
-    baseline = ctx.thresholds.rule2_baseline_at(ctx.d)
-    counts: dict[frozenset[int], int] = {}
-    for c in ctx.decomposition.children.get(v, ()):
-        x = _attachment(ctx, c)
-        if len(x) == 2:
-            counts[x] = counts.get(x, 0) + 1
-    for x, n in counts.items():
-        if n > baseline and _share_block(ctx.graph, *sorted(x)):
-            return True
-    return False
-
-
 def rules_apply_below(ctx: TDContext, v: int) -> bool:
+    """Whether Rule I or Rule II would fire at a proper descendant of v."""
+    rule1 = ctx.thresholds.rule1_at(ctx.d)
+    baseline = ctx.thresholds.rule2_baseline_at(ctx.d)
     for u in sorted(ctx.decomposition.descendants(v) - {v}):
-        if rule1_applies(ctx, u) or rule2_applies(ctx, u):
+        groups = _children_by_attachment(ctx, u).items()
+        if any(len(x) >= 3 and len(cs) >= rule1 for x, cs in groups):
+            return True
+        if any(len(x) == 2 and len(cs) > baseline
+               and _share_block(ctx.graph, *sorted(x)) for x, cs in groups):
             return True
     return False
 
@@ -276,19 +255,28 @@ def _share_block(g: Graph, a: int, b: int) -> bool:
 # Rule III over the block-cut tree
 # ---------------------------------------------------------------------------
 
-def _rooted_bct(g: Graph) -> Optional[tuple[BlockCutTree, dict, dict]]:
+def _incidence_maps(bct: BlockCutTree) -> tuple[dict, dict]:
+    """(blocks at each cut vertex, cut vertices of each block)."""
+    blocks_of: dict[int, list[int]] = {c: [] for c in bct.cut_vertices}
+    cuts_of: dict[int, list[int]] = {i: [] for i in range(len(bct.blocks))}
+    for c, i in bct.incidence:
+        blocks_of[c].append(i)
+        cuts_of[i].append(c)
+    return blocks_of, cuts_of
+
+
+def _rooted_bct(g: Graph
+                ) -> Optional[tuple[BlockCutTree, tuple, dict, dict]]:
     """Block-cut tree of connected g rooted at its smallest cut vertex;
-    returns (bct, depth per cut vertex, children blocks per cut vertex)."""
+    returns (bct, its incidence maps, depth per cut vertex, children blocks
+    per cut vertex)."""
     bct = block_cut_tree(g)
     if not bct.cut_vertices:
         return None
     root = min(bct.cut_vertices)
     # BFS over the bipartite cut/block incidence
-    blocks_of = {c: [] for c in bct.cut_vertices}
-    cuts_of = {i: [] for i in range(len(bct.blocks))}
-    for c, i in bct.incidence:
-        blocks_of[c].append(i)
-        cuts_of[i].append(c)
+    maps = _incidence_maps(bct)
+    blocks_of, cuts_of = maps
     depth = {root: 0}
     child_blocks: dict[int, list[int]] = {root: []}
     seen_blocks = set()
@@ -307,27 +295,23 @@ def _rooted_bct(g: Graph) -> Optional[tuple[BlockCutTree, dict, dict]]:
                         child_blocks[c2] = []
                         nxt.append(c2)
         frontier = nxt
-    return bct, depth, child_blocks
+    return bct, maps, depth, child_blocks
 
 
-def _block_subtree_vertices(bct: BlockCutTree, v: int,
+def _block_subtree_vertices(bct: BlockCutTree, maps: tuple, v: int,
                             block_idx: int) -> frozenset[int]:
     """Vertices of the union of blocks hanging below cut vertex v through
     the given incident block (v included): blocks reachable from it in the
     block-cut tree without passing back through v."""
-    blocks_of: dict[int, list[int]] = {}
-    cuts_of: dict[int, list[int]] = {}
-    for c, i in bct.incidence:
-        blocks_of.setdefault(c, []).append(i)
-        cuts_of.setdefault(i, []).append(c)
+    blocks_of, cuts_of = maps
     in_tree = {block_idx}
     frontier = [block_idx]
     while frontier:
         bi = frontier.pop()
-        for c in cuts_of.get(bi, ()):
+        for c in cuts_of[bi]:
             if c == v:
                 continue
-            for bj in blocks_of.get(c, ()):
+            for bj in blocks_of[c]:
                 if bj not in in_tree:
                     in_tree.add(bj)
                     frontier.append(bj)
@@ -343,13 +327,13 @@ def apply_rule3(ctx: TDContext, v: int) -> str:
     rooted = _rooted_bct(ctx.graph)
     if rooted is None:
         return "noop"
-    bct, depth, child_blocks = rooted
+    bct, maps, _, child_blocks = rooted
     if v not in child_blocks:
         return "noop"
     surviving = []
     mutated = False
     for bi in sorted(child_blocks[v], key=lambda i: sorted(bct.blocks[i])):
-        sub_vertices = _block_subtree_vertices(bct, v, bi)
+        sub_vertices = _block_subtree_vertices(bct, maps, v, bi)
         child = ctx.graph.induced_subgraph(sub_vertices)
         try:
             ok = ctx.ask(child, Predicate("a-outer", a=v, geometric=True))
@@ -450,7 +434,7 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
         rooted = _rooted_bct(ctx.graph) if ctx.graph.m else None
         if rooted is None:
             break
-        _, depth, _ = rooted
+        _, _, depth, _ = rooted
         todo = [c for c in depth if c not in processed]
         if not todo:
             break
@@ -462,13 +446,11 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
 
     # final decision on the reduced instance
     try:
-        verdict = oracle(ctx.graph, Predicate("plain", geometric=True),
-                         cap=oracle_cap, memo=ctx.memo, want_witness=False)
+        answer = ctx.ask(ctx.graph, Predicate("plain", geometric=True))
     except CapExceeded:
         return PipelineOutcome("reduced", None, ctx.graph, _deletions(ctx),
                                ctx.oracle_calls, ctx.log)
-    ctx.oracle_calls += 1
-    return PipelineOutcome("decided", verdict.answer, ctx.graph,
+    return PipelineOutcome("decided", answer, ctx.graph,
                            _deletions(ctx), ctx.oracle_calls, ctx.log)
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from oneplanar.cli import arc_system_from_json, arc_system_to_json, main
 from oneplanar.embedding import embedding_to_json
 from oneplanar.graph import format_edge_list, parse_edge_list
@@ -146,3 +148,50 @@ def test_cli_deterministic(tmp_path):
               "--out", str(out)])
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# Error contract: malformed input exits 1 with one ERROR line
+# ---------------------------------------------------------------------------
+
+GADGET = json.dumps({"edges": [[0, 1], [1, 2], [0, 2]], "alpha": 0, "beta": 1})
+TD_RUN = ["td-run", "--in", "@graph", "--override-thresholds"]
+TD_DEC = ["td-run", "--in", "@graph", "--decomposition", "@bad"]
+LIFT = ["lift-bandwidth", "--graph", "@graph", "--ordering", "@bad",
+        "--gadget", "@gadget"]
+GEN_REPLACE = ["gen-replace", "--graph", "@graph", "--gadget", "@bad",
+               "--out", "@out"]
+
+# name -> (argv with @placeholders, text of the @bad file)
+MALFORMED = {
+    "edge-file": (["decide", "--in", "@bad"], "0 1\n1 x\n"),
+    "decomposition-file": (TD_DEC, "0 -1\n1 x\n"),
+    "decomposition-foreign-parent": (TD_DEC, "0 -1\n1 0\n2 7\n"),
+    "ordering-file": (LIFT, "0 1\n1 x\n"),
+    "ordering-misses-vertex": (LIFT, "0 1\n1 2\n"),
+    "items": (["gen-binpack", "--items", "3,x", "--bins", "2",
+               "--capacity", "4", "--out", "@out"], None),
+    "thresholds-syntax": (TD_RUN + ["{rule1: 1"], None),
+    "thresholds-not-object": (TD_RUN + ["[1]"], None),
+    "thresholds-unknown-key": (TD_RUN + ['{"rule2_baseline": 1}'], None),
+    "thresholds-not-integer": (TD_RUN + ['{"rule1": "3"}'], None),
+    "gadget-syntax": (GEN_REPLACE, '{"edges": [[0, 1]'),
+    "gadget-no-alpha": (GEN_REPLACE, '{"edges": [[0, 1]], "beta": 1}'),
+    "simplify-json": (["simplify", "--in", "@bad", "--out", "@out"],
+                      '{"vertices": ['),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_one_with_one_line(tmp_path, capsys, case):
+    argv, bad = MALFORMED[case]
+    files = {"@graph": "0 1\n1 2\n", "@gadget": GADGET, "@bad": bad}
+    paths = {"@out": str(tmp_path / "out")}
+    for name, text in files.items():
+        if text is not None:
+            paths[name] = str(tmp_path / name[1:])
+            Path(paths[name]).write_text(text)
+    assert main([paths.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR: ")

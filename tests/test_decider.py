@@ -215,6 +215,17 @@ def test_memoization_answers_match(rng):
     assert memo
 
 
+def test_memo_hit_keeps_requested_witness():
+    memo = {}
+    g = complete_graph(5)
+    for _ in range(2):
+        v = decide(g, Predicate("plain", geometric=True), memo=memo)
+        assert v.answer and v.witness is not None
+        validate_embedding(v.witness)
+    assert decide(g, Predicate("plain", geometric=True), memo=memo,
+                  want_witness=False).witness is None  # a real hit
+
+
 def test_rotation_enumeration_matches_known_planarity():
     # a valid zero-crossing rotation system exists iff the graph is planar
     def planar(g):

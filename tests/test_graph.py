@@ -7,10 +7,13 @@ from oneplanar.graph import (
     GraphError,
     LinearOrdering,
     block_cut_tree,
+    connected_components,
     decompose_degree2_paths,
+    degree2_walks,
     feedback_edge_set,
     format_edge_list,
     parse_edge_list,
+    parse_int_pairs,
     prune_degree_one,
     subdivide_all_edges,
     treedepth_decomposition,
@@ -190,3 +193,60 @@ def test_linear_ordering():
     assert sigma.bandwidth(g) == 1
     with pytest.raises(GraphError):
         LinearOrdering({0: 1, 1: 1})
+
+
+# ---------------------------------------------------------------------------
+# Shared primitives: components, degree-2 walks, pair-per-line parsing
+# ---------------------------------------------------------------------------
+
+def test_connected_components_match_networkx(rng):
+    nx = pytest.importorskip("networkx")
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.2]
+        g = Graph.build(pairs, vertices=range(n))
+        subset = frozenset(v for v in g.vertices if rng.random() < 0.7)
+        for nodes in (g.vertices, subset):
+            h = nx.Graph()
+            h.add_nodes_from(nodes)
+            h.add_edges_from(p for p in pairs if set(p) <= nodes)
+            want = sorted(sorted(c) for c in nx.connected_components(h))
+            got = connected_components(nodes, g.neighbors)
+            assert [sorted(c) for c in got] == want  # ordered by smallest
+        assert g.components() == connected_components(g.vertices,
+                                                      g.neighbors)
+
+
+def test_degree2_walks_partition_into_maximal_walks(rng):
+    for _ in range(60):
+        base = random_connected_graph(rng, rng.randint(1, 6),
+                                      rng.randint(0, 4))
+        g = subdivide_all_edges(base, rng.randint(1, 3)) if base.m else base
+        g = Graph.build(list(g.edges.values())
+                        + [(100 + i, 100 + (i + 1) % 3) for i in range(3)],
+                        vertices=g.vertices)  # plus a free cycle
+        edges = {e for e in g.edges if rng.random() < 0.8}
+        inner = {v for v in g.vertices if g.degree(v) == 2
+                 and set(g.incident_edges(v)) <= edges
+                 and rng.random() < 0.9}
+        walks = degree2_walks(g, edges, inner)
+        used = [e for es, _ in walks for e in es]
+        assert sorted(used) == sorted(edges)  # a partition of ``edges``
+        for es, verts in walks:
+            assert len(verts) == len(es) + 1
+            for i, e in enumerate(es):
+                assert set(g.edges[e]) == {verts[i], verts[i + 1]}
+            assert set(verts[1:-1]) <= inner
+            if verts[0] == verts[-1] and verts[0] in inner:
+                assert set(verts) <= inner  # closed only on inner cycles
+            else:  # maximal: both ends outside ``inner``
+                assert verts[0] not in inner and verts[-1] not in inner
+
+
+def test_parse_int_pairs_names_the_line():
+    assert parse_int_pairs("# c\n1 2\n\n-1 3  # x\n", "a b") == [(1, 2),
+                                                                (-1, 3)]
+    for bad in ("1 x", "1", "1 2 3"):
+        with pytest.raises(GraphError, match="line 2: expected 'a b'"):
+            parse_int_pairs("0 1\n" + bad, "a b")

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from oneplanar.decider import Predicate, decide
+from oneplanar.decider import CapExceeded, Predicate, decide
 from oneplanar.graph import Graph, TreedepthDecomposition
 from oneplanar.td_pipeline import (
     TDContext,
@@ -31,6 +31,27 @@ def yes_oracle(g, pred, cap=None, memo=None, want_witness=False):
 
 def no_oracle(g, pred, cap=None, memo=None, want_witness=False):
     return SimpleNamespace(answer=False)
+
+
+# ---------------------------------------------------------------------------
+# Oracle accounting
+# ---------------------------------------------------------------------------
+
+def test_final_call_over_cap_is_counted():
+    calls = []
+
+    def capped_final(g, pred, cap=None, memo=None, want_witness=False):
+        calls.append(pred.variant)
+        if pred.variant == "plain":
+            raise CapExceeded("final decision over the cap")
+        return SimpleNamespace(answer=False)
+
+    g, dec = three_path_children()
+    out = run_pipeline(g, decomposition=dec, oracle=capped_final,
+                       overrides=Thresholds(rule2_baseline=1))
+    assert out.result == "reduced"
+    assert calls[-1] == "plain" and len(calls) > 1  # Rule II ran first
+    assert out.oracle_calls == len(calls)
 
 
 # ---------------------------------------------------------------------------
