@@ -27,7 +27,8 @@ Dart = tuple[int, int, int]
 
 class EmbeddingError(ValueError):
     """Structured validation failure; ``kind`` is one of genus, alternation,
-    multiplicity, dangling-dart, bad-crossing, bad-outer, disconnected."""
+    multiplicity, dangling-dart, bad-crossing, bad-outer, disconnected,
+    shape (a JSON document of the wrong shape)."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(f"{kind}: {message}")
@@ -519,10 +520,40 @@ def _dart_json(emb: PlaneEmbedding, d: Dart) -> list[int]:
     return [e, end] if not emb.edge_order.get(e) else [e, end, seg]
 
 
-def _dart_from_json(raw: Sequence[int]) -> Dart:
-    if len(raw) == 2:
-        return (raw[0], raw[1], 0)
-    return (raw[0], raw[1], raw[2])
+def _json_list(raw, what: str) -> list:
+    if not isinstance(raw, list):
+        raise EmbeddingError("shape", f"{what}: expected a list, got {raw!r}")
+    return raw
+
+
+def _json_ints(raw, what: str, sizes: tuple[int, ...] = ()) -> list[int]:
+    """``raw`` as a list of integers, of one of ``sizes`` when given."""
+    if (any(type(x) is not int for x in _json_list(raw, what))
+            or (sizes and len(raw) not in sizes)):
+        count = " or ".join(map(str, sizes)) + " " if sizes else ""
+        raise EmbeddingError(
+            "shape", f"{what}: expected a list of {count}integers, got {raw!r}")
+    return raw
+
+
+def _json_map(raw, what: str) -> dict[int, object]:
+    """A JSON object whose keys are integers, keyed by int."""
+    if not isinstance(raw, dict):
+        raise EmbeddingError("shape",
+                             f"{what}: expected an object, got {raw!r}")
+    out = {}
+    for key, value in raw.items():
+        try:
+            out[int(key)] = value
+        except ValueError:
+            raise EmbeddingError(
+                "shape", f"{what}: key {key!r} is not an integer") from None
+    return out
+
+
+def _dart_from_json(raw) -> Dart:
+    e, end, *seg = _json_ints(raw, "dart", (2, 3))
+    return (e, end, seg[0] if seg else 0)
 
 
 def embedding_to_json(emb: PlaneEmbedding) -> str:
@@ -543,14 +574,29 @@ def embedding_to_json(emb: PlaneEmbedding) -> str:
 
 
 def embedding_from_json(text: str, k: int = 1) -> PlaneEmbedding:
+    """Parse the output of ``embedding_to_json``; a document of another
+    shape raises EmbeddingError of kind "shape"."""
     obj = json.loads(text)
-    pairs = [tuple(p) for p in obj["edges"]]
+    if not isinstance(obj, dict):
+        raise EmbeddingError(
+            "shape", f"expected a JSON object, got {type(obj).__name__}")
+    missing = [key for key in ("vertices", "edges", "crossings", "rotation",
+                               "outer") if key not in obj]
+    if missing:
+        raise EmbeddingError("shape", f"missing {', '.join(missing)}")
+    pairs = [_json_ints(p, "edge", (2,))
+             for p in _json_list(obj["edges"], "edges")]
     # edge ids are positions in the "edges" list
-    g = Graph(frozenset(obj["vertices"]),
+    g = Graph(frozenset(_json_ints(obj["vertices"], "vertices")),
               {i: (min(p), max(p)) for i, p in enumerate(pairs)})
-    rotation = {int(v): [_dart_from_json(d) for d in darts]
-                for v, darts in obj["rotation"].items()}
+    rotation = {v: [_dart_from_json(d)
+                    for d in _json_list(darts, f"rotation at {v}")]
+                for v, darts in _json_map(obj["rotation"], "rotation").items()}
     outer = _dart_from_json(obj["outer"]) if obj["outer"] is not None else None
-    order = {int(e): lst for e, lst in obj.get("edge_crossing_order", {}).items()}
-    return build_embedding(g, [tuple(c) for c in obj["crossings"]],
-                           rotation, outer, k=k, edge_order=order or None)
+    order = {e: _json_ints(lst, f"crossing order of edge {e}")
+             for e, lst in _json_map(obj.get("edge_crossing_order", {}),
+                                     "edge_crossing_order").items()}
+    crossings = [tuple(_json_ints(c, "crossing", (2,)))
+                 for c in _json_list(obj["crossings"], "crossings")]
+    return build_embedding(g, crossings, rotation, outer, k=k,
+                           edge_order=order or None)

@@ -286,16 +286,23 @@ class TreedepthDecomposition:
     parent: dict[int, int]
 
     @cached_property
+    def levels(self) -> dict[int, int]:
+        """Vertex -> number of its ancestors, itself included, listed in
+        depth-first preorder: every vertex before its descendants and each
+        subtree contiguous, so the reversed listing runs bottom-up."""
+        out: dict[int, int] = {}
+        stack = [(r, 1) for r in reversed(self.roots)]
+        while stack:
+            v, level = stack.pop()
+            out[v] = level
+            stack.extend((c, level + 1) for c in reversed(self.children[v]))
+        if len(out) != len(self.parent):
+            raise GraphError("parent map has a cycle")
+        return out
+
+    @cached_property
     def depth(self) -> int:
-        memo: dict[int, int] = {}
-
-        def d(v: int) -> int:
-            if v not in memo:
-                p = self.parent[v]
-                memo[v] = 1 if p == -1 else d(p) + 1
-            return memo[v]
-
-        return max((d(v) for v in self.parent), default=0)
+        return max(self.levels.values(), default=0)
 
     @cached_property
     def children(self) -> dict[int, tuple[int, ...]]:
@@ -489,7 +496,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     if root_children > 1:
         cuts.add(start)
     incidence = tuple(sorted((c, i) for i, b in enumerate(blocks)
-                             for c in cuts if c in b))
+                             for c in b if c in cuts))
     return BlockCutTree(blocks, frozenset(cuts), incidence)
 
 

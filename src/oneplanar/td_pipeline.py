@@ -9,6 +9,27 @@ of 2^d+1 children and rejects when the surviving overflow reaches 2m+3, and
 Rule III rejects at m+2 surviving children (m = the largest child edge
 count).  Overrides exist so the deletion and rejection branches can be
 exercised at all on instances small enough for the brute-force oracle.
+
+Structure is derived once per mutation, not once per query.  `TDContext`
+caches it keyed on the identity of ``ctx.graph`` and ``ctx.decomposition``;
+both are immutable and every deletion assigns new ones, so any reassignment
+invalidates the cache.  Two things are cached:
+
+* the block forest of the graph: the block-cut tree of every component,
+  rooted at its smallest cut vertex, with the blocks holding each vertex.
+  It answers "do a and b lie in a common block?" for Phase I and
+  `rules_apply_below`, and gives Phase II and `apply_rule3` their cut
+  vertices and branches;
+* the attachment set of every decomposition node, bottom-up:
+  att(c) = (N(c) | union of att(children)) - desc(c), which on a valid
+  decomposition is ((N(c) & anc(c)) | union of att(children)) - {c}.
+
+Rules II and III delete the yes children of one call as one batch.  The
+children of one decomposition node, and the branches below one cut vertex,
+are disjoint and joined by no edge, so deleting one changes neither the
+test graph nor the attachment set of another: the oracle sees the same
+graphs in the same order, and the log gets the same events in the same
+order as with one deletion at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +40,6 @@ from typing import Callable, Optional
 from . import decider
 from .decider import CapExceeded, Predicate
 from .graph import (
-    BlockCutTree,
     Graph,
     GraphError,
     TreedepthDecomposition,
@@ -62,11 +82,28 @@ class TDContext:
     log: list = field(default_factory=list)
     oracle_calls: int = 0
     memo: dict = field(default_factory=dict)
+    # name -> (the objects the value was derived from, the value)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def ask(self, g: Graph, pred: Predicate) -> bool:
         self.oracle_calls += 1
         return self.oracle(g, pred, cap=self.oracle_cap, memo=self.memo,
                            want_witness=False).answer
+
+    def _cached(self, name: str, build: Callable, *sources):
+        hit = self._derived.get(name)
+        if hit is None or any(x is not y for x, y in zip(hit[0], sources)):
+            hit = self._derived[name] = (sources, build(*sources))
+        return hit[1]
+
+    def blocks(self) -> _BlockForest:
+        """The block forest of the current graph."""
+        return self._cached("blocks", _block_forest, self.graph)
+
+    def attachments(self) -> dict[int, frozenset[int]]:
+        """The attachment set of every node of the current decomposition."""
+        return self._cached("attachments", _attachment_sets, self.graph,
+                            self.decomposition)
 
 
 @dataclass
@@ -126,32 +163,53 @@ def normalize_decomposition(g: Graph, t: TreedepthDecomposition
     return TreedepthDecomposition(parent)
 
 
-def _attachment(ctx: TDContext, c: int) -> frozenset[int]:
-    desc = ctx.decomposition.descendants(c)
-    out = set()
-    for v in desc:
-        out.update(ctx.graph.neighbors(v))
-    return frozenset(out - desc)
+def _attachment_sets(g: Graph, t: TreedepthDecomposition
+                     ) -> dict[int, frozenset[int]]:
+    """N(desc(c)) - desc(c) for every node c, bottom-up over the reversed
+    preorder, where desc(c) is the preorder interval [pos[c], end[c])."""
+    order = list(t.levels)
+    pos = {v: i for i, v in enumerate(order)}
+    end: dict[int, int] = {}
+    att: dict[int, frozenset[int]] = {}
+    for c in reversed(order):
+        kids = t.children[c]
+        end[c] = end[kids[-1]] if kids else pos[c] + 1
+        around = set(g.neighbors(c)).union(*(att[k] for k in kids))
+        att[c] = frozenset(u for u in around
+                           if not pos[c] <= pos[u] < end[c])
+    return att
 
 
 def _children_by_attachment(ctx: TDContext, v: int
                             ) -> dict[frozenset[int], list[int]]:
     """The children of v grouped by attachment set, each group in child
     order; Rule I reads the groups of size >= 3, Rule II those of size 2."""
+    att = ctx.attachments()
     groups: dict[frozenset[int], list[int]] = {}
     for c in ctx.decomposition.children.get(v, ()):
-        groups.setdefault(_attachment(ctx, c), []).append(c)
+        groups.setdefault(att[c], []).append(c)
     return groups
 
 
-def _delete_subtree(ctx: TDContext, c: int, rule: str, reason: dict) -> None:
-    desc = ctx.decomposition.descendants(c)
-    ctx.graph = ctx.graph.remove_vertices(desc)
-    parent = {v: p for v, p in ctx.decomposition.parent.items()
-              if v not in desc}
-    ctx.decomposition = TreedepthDecomposition(parent)
-    ctx.log.append({"rule": rule, "action": "delete", "child": c,
-                    "vertices": sorted(desc), **reason})
+def _subgraph_at(g: Graph, inner: frozenset[int], rim: tuple[int, ...]
+                 ) -> Graph:
+    """The edges of g at ``inner`` whose other end lies in inner or rim, on
+    the vertices inner | rim; an edge between two rim vertices is left out.
+    Costs the degrees of ``inner``, not a scan of all edges."""
+    vs = inner.union(rim)
+    ids = sorted({e for x in inner for w, e in g.adjacency[x] if w in vs})
+    return Graph(vs, {e: g.edges[e] for e in ids})
+
+
+def _delete(ctx: TDContext, drop: set[int]) -> None:
+    """Delete ``drop`` from the graph and the decomposition in one step; a
+    vertex whose parent is deleted becomes a root."""
+    if not drop:
+        return
+    ctx.graph = ctx.graph.remove_vertices(drop)
+    ctx.decomposition = TreedepthDecomposition(
+        {u: (p if p not in drop else -1)
+         for u, p in ctx.decomposition.parent.items() if u not in drop})
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +231,17 @@ def apply_rule1(ctx: TDContext, v: int) -> Optional[dict]:
     return None
 
 
-def _child_test_graph(ctx: TDContext, c: int, a: int, b: int) -> Graph:
-    """The child subtree together with its two attachment vertices, minus
-    the edge ab (the fusion argument books that edge to the rest)."""
-    desc = ctx.decomposition.descendants(c)
-    sub = ctx.graph.induced_subgraph(desc | {a, b})
-    ab = sub.edge_between(a, b)
-    if ab is not None:
-        sub = sub.subgraph_of_edges(set(sub.edges) - {ab})
-        sub = Graph(sub.vertices | {a, b}, sub.edges)
-    return sub
+def _rule2_pairs(ctx: TDContext, v: int) -> list[tuple[int, int]]:
+    """The pairs that are the attachment set of more than the Rule II
+    baseline of children of v, each as (shallower, deeper), ordered by the
+    levels of a, then b.  At every other pair of ancestors of v Rule II
+    does nothing."""
+    baseline = ctx.thresholds.rule2_baseline_at(ctx.d)
+    level = ctx.decomposition.levels
+    pairs = [tuple(sorted(x, key=level.__getitem__))
+             for x, cs in _children_by_attachment(ctx, v).items()
+             if len(x) == 2 and len(cs) > baseline]
+    return sorted(pairs, key=lambda ab: (level[ab[0]], level[ab[1]]))
 
 
 def apply_rule2(ctx: TDContext, v: int, a: int, b: int) -> str:
@@ -201,140 +260,144 @@ def apply_rule2(ctx: TDContext, v: int, a: int, b: int) -> str:
         return "skipped"
     overflow = sorted(children)[baseline:]  # lexicographically last ones
     surviving = []
-    mutated = False
+    drop: set[int] = set()
     for c in overflow:
-        child = _child_test_graph(ctx, c, a, b)
+        # the child subtree with its attachment vertices, minus the edge ab
+        # (the fusion argument books that edge to the rest)
+        desc = ctx.decomposition.descendants(c)
+        child = _subgraph_at(ctx.graph, desc, (a, b))
         try:
             ok = ctx.ask(child, Predicate("ab-outer", a=a, b=b,
                                           geometric=True))
         except CapExceeded:
             ctx.log.append({"rule": "II", "action": "skip-child", "child": c,
                             "reason": "oracle cap exceeded"})
-            surviving.append((c, child.m))
+            surviving.append(child.m)
             continue
         if ok:
-            _delete_subtree(ctx, c, "II",
-                            {"node": v, "pair": [a, b], "oracle": True})
-            mutated = True
+            drop |= desc
+            ctx.log.append({"rule": "II", "action": "delete", "child": c,
+                            "vertices": sorted(desc), "node": v,
+                            "pair": [a, b], "oracle": True})
         else:
-            surviving.append((c, child.m))
+            surviving.append(child.m)
+    _delete(ctx, drop)
     if surviving:
-        m = max(size for _, size in surviving)
+        m = max(surviving)
         limit = ctx.thresholds.rule2_reject_at(m)
         if len(surviving) >= limit:
             ctx.log.append({"rule": "II", "action": "reject", "node": v,
                             "pair": [a, b], "survivors": len(surviving),
                             "m": m, "threshold": limit})
             return "rejected"
-    return "mutated" if mutated else "noop"
+    return "mutated" if drop else "noop"
 
 
 def rules_apply_below(ctx: TDContext, v: int) -> bool:
     """Whether Rule I or Rule II would fire at a proper descendant of v."""
     rule1 = ctx.thresholds.rule1_at(ctx.d)
     baseline = ctx.thresholds.rule2_baseline_at(ctx.d)
-    for u in sorted(ctx.decomposition.descendants(v) - {v}):
+    for u in ctx.decomposition.descendants(v) - {v}:
         groups = _children_by_attachment(ctx, u).items()
         if any(len(x) >= 3 and len(cs) >= rule1 for x, cs in groups):
             return True
         if any(len(x) == 2 and len(cs) > baseline
-               and _share_block(ctx.graph, *sorted(x)) for x, cs in groups):
+               and ctx.blocks().share_block(*x) for x, cs in groups):
             return True
     return False
-
-
-def _share_block(g: Graph, a: int, b: int) -> bool:
-    comp = next((c for c in g.components() if a in c), None)
-    if comp is None or b not in comp:
-        return False
-    bct = block_cut_tree(g.induced_subgraph(comp))
-    return any(a in blk and b in blk for blk in bct.blocks)
 
 
 # ---------------------------------------------------------------------------
 # Rule III over the block-cut tree
 # ---------------------------------------------------------------------------
 
-def _incidence_maps(bct: BlockCutTree) -> tuple[dict, dict]:
-    """(blocks at each cut vertex, cut vertices of each block)."""
-    blocks_of: dict[int, list[int]] = {c: [] for c in bct.cut_vertices}
-    cuts_of: dict[int, list[int]] = {i: [] for i in range(len(bct.blocks))}
-    for c, i in bct.incidence:
-        blocks_of[c].append(i)
-        cuts_of[i].append(c)
-    return blocks_of, cuts_of
+@dataclass(frozen=True)
+class _BlockForest:
+    """The block-cut trees of the components of a graph (isolated vertices
+    left out), each rooted at its smallest cut vertex; block ids are global.
+    """
+
+    blocks: list[frozenset[int]]
+    blocks_at: dict[int, frozenset[int]]  # vertex -> ids of its blocks
+    cuts_in: list[list[int]]  # block id -> its cut vertices
+    depth: dict[int, int]  # cut vertex -> distance from its tree's root
+    child_blocks: dict[int, list[int]]  # cut vertex -> blocks below it
+
+    def share_block(self, a: int, b: int) -> bool:
+        return not self.blocks_at.get(a, frozenset()).isdisjoint(
+            self.blocks_at.get(b, frozenset()))
 
 
-def _rooted_bct(g: Graph
-                ) -> Optional[tuple[BlockCutTree, tuple, dict, dict]]:
-    """Block-cut tree of connected g rooted at its smallest cut vertex;
-    returns (bct, its incidence maps, depth per cut vertex, children blocks
-    per cut vertex)."""
-    bct = block_cut_tree(g)
-    if not bct.cut_vertices:
-        return None
-    root = min(bct.cut_vertices)
-    # BFS over the bipartite cut/block incidence
-    maps = _incidence_maps(bct)
-    blocks_of, cuts_of = maps
-    depth = {root: 0}
-    child_blocks: dict[int, list[int]] = {root: []}
-    seen_blocks = set()
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in blocks_of[c]:
-                if i in seen_blocks:
-                    continue
-                seen_blocks.add(i)
-                child_blocks[c].append(i)
-                for c2 in cuts_of[i]:
-                    if c2 not in depth:
-                        depth[c2] = depth[c] + 1
-                        child_blocks[c2] = []
-                        nxt.append(c2)
-        frontier = nxt
-    return bct, maps, depth, child_blocks
+def _block_forest(g: Graph) -> _BlockForest:
+    blocks: list[frozenset[int]] = []
+    cuts: set[int] = set()
+    for comp in g.components():
+        if len(comp) > 1:
+            bct = block_cut_tree(g if len(comp) == g.n
+                                 else g.induced_subgraph(comp))
+            blocks.extend(bct.blocks)
+            cuts |= bct.cut_vertices
+    at: dict[int, list[int]] = {}
+    for i, blk in enumerate(blocks):
+        for x in blk:
+            at.setdefault(x, []).append(i)
+    cuts_in = [[c for c in blk if c in cuts] for blk in blocks]
+    # BFS over the bipartite cut/block incidence; sorted, so the first cut
+    # vertex met in each component is its smallest
+    depth: dict[int, int] = {}
+    child_blocks: dict[int, list[int]] = {}
+    seen: set[int] = set()
+    for root in sorted(cuts):
+        if root in depth:
+            continue
+        depth[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for c in frontier:
+                child_blocks[c] = [i for i in at[c] if i not in seen]
+                seen.update(child_blocks[c])
+                for i in child_blocks[c]:
+                    for c2 in cuts_in[i]:
+                        if c2 not in depth:
+                            depth[c2] = depth[c] + 1
+                            nxt.append(c2)
+            frontier = nxt
+    return _BlockForest(blocks, {x: frozenset(ids) for x, ids in at.items()},
+                        cuts_in, depth, child_blocks)
 
 
-def _block_subtree_vertices(bct: BlockCutTree, maps: tuple, v: int,
-                            block_idx: int) -> frozenset[int]:
+def _branch(forest: _BlockForest, v: int, block: int) -> frozenset[int]:
     """Vertices of the union of blocks hanging below cut vertex v through
     the given incident block (v included): blocks reachable from it in the
     block-cut tree without passing back through v."""
-    blocks_of, cuts_of = maps
-    in_tree = {block_idx}
-    frontier = [block_idx]
+    in_tree = {block}
+    frontier = [block]
     while frontier:
         bi = frontier.pop()
-        for c in cuts_of[bi]:
+        for c in forest.cuts_in[bi]:
             if c == v:
                 continue
-            for bj in blocks_of[c]:
+            for bj in forest.blocks_at[c]:
                 if bj not in in_tree:
                     in_tree.add(bj)
                     frontier.append(bj)
-    return frozenset(x for bi in in_tree for x in bct.blocks[bi])
+    return frozenset(x for bi in in_tree for x in forest.blocks[bi])
 
 
 def apply_rule3(ctx: TDContext, v: int) -> str:
     """At cut vertex v, oracle-test each child subgraph (union of blocks
     below one incident block) for v-outer geometric 1-planarity; delete the
     yes children; reject when too many no children survive."""
-    if not ctx.graph.is_connected():
-        raise GraphError("rule III runs per connected component")
-    rooted = _rooted_bct(ctx.graph)
-    if rooted is None:
-        return "noop"
-    bct, maps, _, child_blocks = rooted
-    if v not in child_blocks:
+    forest = ctx.blocks()
+    if v not in forest.child_blocks:
         return "noop"
     surviving = []
-    mutated = False
-    for bi in sorted(child_blocks[v], key=lambda i: sorted(bct.blocks[i])):
-        sub_vertices = _block_subtree_vertices(bct, maps, v, bi)
-        child = ctx.graph.induced_subgraph(sub_vertices)
+    drop: set[int] = set()
+    for bi in sorted(forest.child_blocks[v],
+                     key=lambda i: sorted(forest.blocks[i])):
+        below = _branch(forest, v, bi) - {v}
+        child = _subgraph_at(ctx.graph, below, (v,))
         try:
             ok = ctx.ask(child, Predicate("a-outer", a=v, geometric=True))
         except CapExceeded:
@@ -343,18 +406,12 @@ def apply_rule3(ctx: TDContext, v: int) -> str:
             surviving.append(child.m)
             continue
         if ok:
-            drop = sub_vertices - {v}
-            ctx.graph = ctx.graph.remove_vertices(drop)
-            parent = {u: p for u, p in ctx.decomposition.parent.items()
-                      if u not in drop}
-            fix = {u: (p if p not in drop else -1)
-                   for u, p in parent.items()}
-            ctx.decomposition = TreedepthDecomposition(fix)
+            drop |= below
             ctx.log.append({"rule": "III", "action": "delete", "cut": v,
-                            "vertices": sorted(drop), "oracle": True})
-            mutated = True
+                            "vertices": sorted(below), "oracle": True})
         else:
             surviving.append(child.m)
+    _delete(ctx, drop)
     if surviving:
         m = max(surviving)
         limit = ctx.thresholds.rule3_reject_at(m)
@@ -363,7 +420,7 @@ def apply_rule3(ctx: TDContext, v: int) -> str:
                             "survivors": len(surviving), "m": m,
                             "threshold": limit})
             return "rejected"
-    return "mutated" if mutated else "noop"
+    return "mutated" if drop else "noop"
 
 
 # ---------------------------------------------------------------------------
@@ -410,39 +467,28 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
                     oracle, oracle_cap)
 
     # Phase I: Rules I and II bottom-up over the decomposition
-    order = sorted(ctx.decomposition.parent,
-                   key=lambda v: (-len(ctx.decomposition.ancestors(v)), v))
-    for v in order:
+    levels = ctx.decomposition.levels
+    for v in sorted(levels, key=lambda u: (-levels[u], u)):
         if v not in ctx.decomposition.parent:
             continue  # removed by an earlier deletion
         if apply_rule1(ctx, v) is not None:
-            return PipelineOutcome("rejected", False, ctx.graph,
-                                   _deletions(ctx), ctx.oracle_calls, ctx.log)
-        anc = ctx.decomposition.ancestors(v)
-        for i, a in enumerate(anc):
-            for b in anc[i + 1:]:
-                if not _share_block(ctx.graph, a, b):
-                    continue
-                if apply_rule2(ctx, v, a, b) == "rejected":
-                    return PipelineOutcome("rejected", False, ctx.graph,
-                                           _deletions(ctx), ctx.oracle_calls,
-                                           ctx.log)
+            return _rejected(ctx)
+        for a, b in _rule2_pairs(ctx, v):
+            if (ctx.blocks().share_block(a, b)
+                    and apply_rule2(ctx, v, a, b) == "rejected"):
+                return _rejected(ctx)
 
-    # Phase II: Rule III bottom-up over the block-cut tree
+    # Phase II: Rule III bottom-up over the block-cut trees
     processed: set[int] = set()
     while True:
-        rooted = _rooted_bct(ctx.graph) if ctx.graph.m else None
-        if rooted is None:
-            break
-        _, _, depth, _ = rooted
+        depth = ctx.blocks().depth
         todo = [c for c in depth if c not in processed]
         if not todo:
             break
         v = max(todo, key=lambda c: (depth[c], -c))
         processed.add(v)
         if apply_rule3(ctx, v) == "rejected":
-            return PipelineOutcome("rejected", False, ctx.graph,
-                                   _deletions(ctx), ctx.oracle_calls, ctx.log)
+            return _rejected(ctx)
 
     # final decision on the reduced instance
     try:
@@ -456,6 +502,11 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
 
 def _deletions(ctx: TDContext) -> list:
     return [ev for ev in ctx.log if ev.get("action") == "delete"]
+
+
+def _rejected(ctx: TDContext) -> PipelineOutcome:
+    return PipelineOutcome("rejected", False, ctx.graph, _deletions(ctx),
+                           ctx.oracle_calls, ctx.log)
 
 
 def _combine(g: Graph, partials: list[PipelineOutcome]) -> PipelineOutcome:

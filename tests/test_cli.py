@@ -82,6 +82,54 @@ def test_td_run_cli(tmp_path, capsys):
     assert payload["result"] == "decided"
 
 
+def test_td_run_disconnected_remainder(tmp_path, capsys):
+    # Rule II deletes children 2 and 3 of node 1; what is left is the two
+    # disjoint edges 0-4 and 1-5, which Phase II handles per component
+    infile = tmp_path / "g.edges"
+    infile.write_text("0 2\n1 2\n0 3\n1 3\n0 4\n1 5\n")
+    dec = tmp_path / "td.txt"
+    dec.write_text("0 -1\n1 0\n2 1\n3 1\n4 0\n5 1\n")
+    log = tmp_path / "log.json"
+    assert main(["td-run", "--in", str(infile), "--decomposition", str(dec),
+                 "--override-thresholds", '{"rule2-baseline": 0}',
+                 "--log", str(log)]) == 0
+    assert capsys.readouterr().out.strip() == "YES"
+    payload = json.loads(log.read_text())
+    assert [(d["rule"], d["child"]) for d in payload["deletions"]] == [
+        ("II", 2), ("II", 3)]
+    assert payload["remaining_vertices"] == [0, 1, 4, 5]
+
+
+def test_td_run_accepts_deep_decomposition_listed_child_first(
+        tmp_path, capsys):
+    # a chain deeper than the interpreter's recursion limit
+    n = 1200
+    infile = tmp_path / "cycle.edges"
+    infile.write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+    dec = tmp_path / "td.txt"
+    dec.write_text("".join(f"{i} {i - 1}\n" for i in reversed(range(n))))
+    assert main(["td-run", "--in", str(infile),
+                 "--decomposition", str(dec)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "REDUCED" and captured.err == ""
+
+
+@pytest.mark.parametrize("doc", [
+    "[]",
+    '{"vertices": [0, 1], "edges": [[0, 1]], "crossings": [],'
+    ' "rotation": [], "outer": [0, 0]}',
+    '{"vertices": [0, 1], "edges": [[0, "1"]], "crossings": [],'
+    ' "rotation": {}, "outer": null}',
+    '{"vertices": [0, 1]}',
+])
+def test_check_embedding_wrong_shape(tmp_path, capsys, doc):
+    path = tmp_path / "emb.json"
+    path.write_text(doc)
+    assert main(["check-embedding", "--in", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID: shape: ") and len(out.splitlines()) == 1
+
+
 def test_gen_binpack_cli(tmp_path):
     out = str(tmp_path / "instance.edges")
     wdir = str(tmp_path / "witnesses")

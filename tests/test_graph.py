@@ -6,6 +6,7 @@ from oneplanar.graph import (
     Graph,
     GraphError,
     LinearOrdering,
+    TreedepthDecomposition,
     block_cut_tree,
     connected_components,
     decompose_degree2_paths,
@@ -140,6 +141,19 @@ def test_treedepth_examples():
     assert treedepth_decomposition(path_graph(4)).depth == 3  # ceil(log2(5))
     assert treedepth_decomposition(complete_graph(3)).depth == 3
     assert treedepth_decomposition(star_graph(5)).depth == 2
+
+
+def test_depth_of_deep_chain_listed_child_first():
+    n = 3000
+    t = TreedepthDecomposition({v: v - 1 for v in reversed(range(n))})
+    assert t.depth == n
+    assert list(t.levels) == list(range(n))  # preorder: root first
+    assert t.levels[n - 1] == n
+
+
+def test_levels_reject_a_cyclic_parent_map():
+    with pytest.raises(GraphError):
+        TreedepthDecomposition({0: 1, 1: 0, 2: -1}).depth
 
 
 def test_treedepth_budget_and_cap():

@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import random
 from types import SimpleNamespace
 
+import pytest
+
+from oneplanar.cli import main
 from oneplanar.decider import CapExceeded, Predicate, decide
-from oneplanar.graph import Graph, TreedepthDecomposition
+from oneplanar.graph import Graph, TreedepthDecomposition, format_edge_list
 from oneplanar.td_pipeline import (
     TDContext,
     Thresholds,
@@ -224,3 +231,166 @@ def test_normalize_splits_disconnected_child():
     norm = normalize_decomposition(g, dec)
     assert norm.parent[3] != 2
     norm.validate(g)
+
+
+# ---------------------------------------------------------------------------
+# Derived data: computed once per mutation, equal to the definitions
+# ---------------------------------------------------------------------------
+
+def k2n_ab(n: int) -> tuple[Graph, TreedepthDecomposition]:
+    """K2,N plus the edge ab (a=0, b=1) under the star decomposition."""
+    g = Graph.build([(0, 1)] + [(i, 2 + j) for i in range(2)
+                                for j in range(n)])
+    parent = {0: -1, 1: 0, **{v: 1 for v in range(2, n + 2)}}
+    return g, TreedepthDecomposition(parent)
+
+
+def chain(n: int) -> tuple[Graph, TreedepthDecomposition]:
+    """The path 0..n-1 under the chain decomposition rooted at 0."""
+    g = Graph.build([(i, i + 1) for i in range(n - 1)])
+    return g, TreedepthDecomposition({i: i - 1 for i in range(n)})
+
+
+def test_share_block_matches_networkx(rng):
+    nx = pytest.importorskip("networkx")
+    for _ in range(30):
+        g = random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 6))
+        dec = TreedepthDecomposition({v: -1 for v in g.vertices})
+        ctx = TDContext(g, dec, 1, Thresholds(), no_oracle, 11)
+        for _ in range(3):  # the last rounds often see several components
+            h = nx.Graph(list(ctx.graph.edges.values()))
+            h.add_nodes_from(ctx.graph.vertices)
+            blocks = list(nx.biconnected_components(h))
+            for a in ctx.graph.vertices:
+                for b in ctx.graph.vertices - {a}:
+                    want = any(a in blk and b in blk for blk in blocks)
+                    assert ctx.blocks().share_block(a, b) == want
+            drop = rng.sample(sorted(ctx.graph.vertices),
+                              min(2, ctx.graph.n - 1))
+            ctx.graph = ctx.graph.remove_vertices(drop)
+
+
+def test_attachment_cache_matches_definition_after_each_mutation(
+        rng, monkeypatch):
+    from oneplanar import td_pipeline
+
+    def brute(ctx):
+        out = {}
+        for c in ctx.decomposition.parent:
+            desc = ctx.decomposition.descendants(c)
+            out[c] = frozenset(u for x in desc
+                               for u in ctx.graph.neighbors(x)) - desc
+        return out
+
+    real_delete = td_pipeline._delete
+
+    def checked_delete(ctx, drop):
+        real_delete(ctx, drop)
+        assert ctx.attachments() == brute(ctx)
+
+    monkeypatch.setattr(td_pipeline, "_delete", checked_delete)
+    rules = set()
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randint(3, 9), rng.randint(0, 4))
+        out = run_pipeline(
+            g, overrides=Thresholds(rule2_baseline=rng.randint(0, 1)),
+            oracle=yes_oracle)
+        rules.update(ev["rule"] for ev in out.deletions)
+    assert rules == {"II", "III"}
+
+
+def test_block_cut_tree_built_once_per_graph_version(monkeypatch):
+    from oneplanar import td_pipeline
+    calls = []
+    real = td_pipeline.block_cut_tree
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(td_pipeline, "block_cut_tree", counting)
+    g, dec = k2n_ab(300)
+    out = run_pipeline(g, decomposition=dec)
+    assert out.result == "reduced" and len(out.deletions) == 291
+    assert len(calls) <= 3
+
+
+def test_chain_visits_only_pairs_rule_two_can_act_on(monkeypatch):
+    from oneplanar import td_pipeline
+    calls = []
+    real = td_pipeline.apply_rule2
+
+    def counting(ctx, v, a, b):
+        calls.append((v, a, b))
+        return real(ctx, v, a, b)
+
+    monkeypatch.setattr(td_pipeline, "apply_rule2", counting)
+    g, dec = chain(60)
+    out = run_pipeline(g, decomposition=dec)
+    assert out.result == "decided" and out.answer is True
+    assert len(calls) <= g.n
+
+
+# sha256 of the `td-run --log` file, recorded before the derived data was
+# cached: caching and batched deletions must not change a byte
+LOG_DIGESTS = {
+    "K2,20+ab": "235b501dfbd4dae591b2e5ac13b8db8093ff3bab8e7eb92413a6366c7386891e",
+    "K2,120+ab": "78b4946322ee33c1484e68750445094050ae1581bb8b082f57bd5ef23787585c",
+    "K3,20": "f3ef19dc5e2d8dedb656ceb693a46494b1ec3552759e5e2355a8216f1bbb9bec",
+    "K3,34": "3d36a9e77c4d789bb682ff2f46465cfd50e8364930af88a953e0322766e9db2c",
+    "K3,35": "341a0ee8b95312e6f92780bb8e3b739696743be133c4b3e30dc5941ed8fce5ef",
+    "chain40": "23dfaf28efa38e5da7e05e0e6d1bf3c3d0b9ecb1a08646c5415bc3642c716043",
+    "pool0": "0e9101f0fc923cefc68f4e2ede43cc223818c1dc4d7fc2c6a4018eccc06a16fc",
+    "pool1": "25f7bd84dc055b2b3a14d7b5440dcd292737818ac7903233399aa26baf69d5fa",
+    "pool2": "97c898d3069987ee4aa6264bdff51272b0652a53f420c4f6ad9e9ac4f42feac5",
+    "pool3": "1466171edf6bb6de3b25a4760691392871f41ef66945b8bd0488b99137e49f41",
+    "pool4": "ca38cb6b49740073fe19357f20631427059d38efea5e79e7d169ed8e13a49fa8",
+    "pool5": "cfbe06802c68f94b073aaf7fdd883e6824a3e3936688031dcb69e100d3f1eb58",
+    "pool6": "5eab76143dc0c6f08b4e1eb88a0887fb6c0beee2c1a876d93ebf8f373bb76ea3",
+    "pool7": "b1f355c3bae1582f7070cd7f0ff63bc270a524347ca51d21106ab02402935192",
+    "pool8": "a23e34f05667f35070977f7c6896cdd2fd283116542fd89324ac7017643989e3",
+    "pool9": "7a88b2a8cd8022cd5034b39cd9ffbffc58474514df548e4bba383a1a3d3eb3b5",
+    "pool10": "5eab76143dc0c6f08b4e1eb88a0887fb6c0beee2c1a876d93ebf8f373bb76ea3",
+    "pool11": "9569dc56d8006fb26498b3f7acd522c65e274df2b7c6e86efbb8b8f6aac7328b",
+    "pool12": "095e4836974ea24f020c717a096d1a0fa9ac34cc6fb2c6bdff2d38ccb6057abf",
+    "pool13": "5d8a8ead7092caf034079e4683ca25073c43418331bd5be08af3a50a9c90df72",
+    "pool14": "5eab76143dc0c6f08b4e1eb88a0887fb6c0beee2c1a876d93ebf8f373bb76ea3",
+    "pool15": "483e7cca07a6682ca0964a0956d448c53e11228fa0dbcc3b3579cb53adecd40d",
+    "pool16": "57a51d7645f09cdb74df431ca24b8938b7f5be37ffe9475fa17b90af14075cba",
+    "pool17": "7a88b2a8cd8022cd5034b39cd9ffbffc58474514df548e4bba383a1a3d3eb3b5",
+    "pool18": "a2f9eed5cd1011569b39829e0a3a266f8fa56b8363e5b3c2c31e8a03e3230818",
+    "pool19": "97c898d3069987ee4aa6264bdff51272b0652a53f420c4f6ad9e9ac4f42feac5",
+}
+
+
+def digest_case(name: str):
+    """(graph, decomposition or None, --override-thresholds or None)."""
+    if name.startswith("K2,"):
+        return (*k2n_ab(int(name[3:-3])), None)
+    if name.startswith("K3,"):
+        n = int(name[3:])
+        return complete_bipartite(3, n), k3n_decomposition(n), None
+    if name.startswith("chain"):
+        return (*chain(int(name[5:])), None)
+    # pool style: random connected graphs with 3-6 vertices, <= 9 edges
+    rng = random.Random(int(name[4:]))
+    g = random_connected_graph(rng, rng.randint(3, 6), rng.randint(0, 3))
+    return g, None, '{"rule2-baseline": 1}'
+
+
+@pytest.mark.parametrize("name", sorted(LOG_DIGESTS))
+def test_td_run_log_is_byte_identical(tmp_path, name):
+    g, dec, overrides = digest_case(name)
+    (tmp_path / "g").write_text(format_edge_list(g))
+    argv = ["td-run", "--in", str(tmp_path / "g"),
+            "--log", str(tmp_path / "log")]
+    if dec is not None:
+        (tmp_path / "t").write_text(
+            "".join(f"{v} {p}\n" for v, p in dec.parent.items()))
+        argv += ["--decomposition", str(tmp_path / "t")]
+    if overrides is not None:
+        argv += ["--override-thresholds", overrides]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    got = hashlib.sha256((tmp_path / "log").read_bytes()).hexdigest()
+    assert got == LOG_DIGESTS[name]
