@@ -16,8 +16,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .embedding import CrossingPair, PlaneEmbedding, validate_embedding
-from .graph import Graph, GraphError, connected_components
+from .embedding import (
+    PlaneEmbedding,
+    build_embedding,
+    unrotated_embedding,
+    validate_embedding,
+)
+from .graph import Graph, GraphError
 from .straightening import candidate_configurations
 
 DEFAULT_EDGE_CAP = 11
@@ -162,37 +167,15 @@ def enumerate_crossing_sets(g: Graph, k: int = 1) -> Iterator[CrossingAssignment
 # Rotation-system enumeration
 # ---------------------------------------------------------------------------
 
-def _unchecked_embedding(g: Graph, assignment: CrossingAssignment,
-                         rotation: dict[int, tuple], outer) -> PlaneEmbedding:
-    base = max(g.vertices, default=-1) + 1
-    crossings = tuple(CrossingPair(p, base + i)
-                      for i, p in enumerate(assignment.pairs))
-    per_edge: dict[int, list[int]] = {}
-    for i, (e, f) in enumerate(assignment.pairs):
-        per_edge.setdefault(e, []).append(i)
-        per_edge.setdefault(f, []).append(i)
-    order = {}
-    for e, lst in per_edge.items():
-        order[e] = assignment.edge_order.get(e, tuple(lst))
-    return PlaneEmbedding(g, crossings, order, rotation, outer)
-
-
 def _system_iter(g: Graph, assignment: CrossingAssignment,
                  reduce_reflection: bool = True) -> Iterator[PlaneEmbedding]:
     """Yield one PlaneEmbedding per genus-0 rotation system with proper
     (alternating) crossings; the outer dart is a placeholder."""
     if not g.edges:
         return
-    skeleton = _unchecked_embedding(g, assignment, {}, None)
-    plan_segments: list[tuple[int, int]] = []
-    for e in sorted(g.edges):
-        path = skeleton.edge_path(e)
-        plan_segments.extend(zip(path, path[1:]))
-
-    node_darts: dict[int, list[int]] = {}
-    for s, (x, y) in enumerate(plan_segments):
-        node_darts.setdefault(x, []).append(2 * s)
-        node_darts.setdefault(y, []).append(2 * s + 1)
+    skeleton = unrotated_embedding(g, assignment.pairs, assignment.edge_order)
+    plan = skeleton.planarization
+    node_darts = plan.node_darts
 
     dummies = [c.dummy for c in skeleton.crossings]
     dummy_set = set(dummies)
@@ -203,12 +186,10 @@ def _system_iter(g: Graph, assignment: CrossingAssignment,
         return [(head,) + p for p in itertools.permutations(rest)]
 
     def dummy_candidates(dummy: int) -> list[tuple[int, ...]]:
-        darts = node_darts[dummy]
-        by_seg_edge: dict[int, list[int]] = {}
-        for d in darts:
-            e = skeleton._seg_info[d >> 1][0]
-            by_seg_edge.setdefault(e, []).append(d)
-        groups = sorted(by_seg_edge.values())
+        by_edge: dict[int, list[int]] = {}
+        for d in node_darts[dummy]:
+            by_edge.setdefault(skeleton.edge_of(d), []).append(d)
+        groups = sorted(by_edge.values())
         if len(groups) == 1:  # same pair crossing twice: split by instance
             (a1, a2, b1, b2) = sorted(groups[0])
             groups = [[a1, a2], [b1, b2]]
@@ -237,15 +218,9 @@ def _system_iter(g: Graph, assignment: CrossingAssignment,
                 cands = [c for c in cands if c[1:] <= c[1:][::-1]]
         cand_lists.append(cands)
 
-    # connected-component count of the planarization skeleton
-    adj: dict[int, set[int]] = {v: set() for v in nodes}
-    for x, y in plan_segments:
-        adj[x].add(y)
-        adj[y].add(x)
-    comps = len(connected_components(adj, adj.__getitem__))
-
-    nd = 2 * len(plan_segments)
-    want_faces = 2 * comps - len(nodes) + len(plan_segments)
+    comps = len(plan.components)
+    nd = plan.dart_count
+    want_faces = 2 * comps - len(nodes) + len(plan.segments)
     if want_faces < comps:
         return
     succ = [0] * nd
@@ -268,10 +243,8 @@ def _system_iter(g: Graph, assignment: CrossingAssignment,
                     d = succ[d]
         if faces != want_faces:
             continue
-        rotation = {v: tuple(skeleton.int_to_dart(d) for d in rot)
-                    for v, rot in zip(nodes, combo)}
-        yield _unchecked_embedding(g, assignment, rotation,
-                                   skeleton.int_to_dart(0))
+        yield dataclasses.replace(skeleton, rotation=dict(zip(nodes, combo)),
+                                  outer=0)
 
 
 def enumerate_embeddings(g: Graph, crossings, k: int = 1,
@@ -282,9 +255,8 @@ def enumerate_embeddings(g: Graph, crossings, k: int = 1,
                   else CrossingAssignment(tuple(tuple(c) for c in crossings),
                                           dict(edge_order or {})))
     for emb in _system_iter(g, assignment):
-        plan = emb.planarization
-        for cyc in plan.faces:
-            yield dataclasses.replace(emb, outer=emb.int_to_dart(cyc[0]))
+        for cyc in emb.planarization.faces:
+            yield dataclasses.replace(emb, outer=cyc[0])
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +345,7 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
                     witness = None
                     if want_witness:
                         witness = dataclasses.replace(
-                            emb, outer=emb.int_to_dart(plan.faces[outer][0]))
+                            emb, outer=plan.faces[outer][0])
                         validate_embedding(witness, k=pred.k)
                     return Verdict(True, witness, count)
                 continue
@@ -388,34 +360,35 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
                 witness = None
                 if want_witness:
                     witness = dataclasses.replace(
-                        emb, outer=emb.int_to_dart(plan.faces[outer][0]))
+                        emb, outer=plan.faces[outer][0])
                     validate_embedding(witness, k=pred.k)
                 return Verdict(True, witness, count)
     return Verdict(False, None, count)
 
 
-def _merge_witnesses(parts: list[PlaneEmbedding], g: Graph) -> Optional[PlaneEmbedding]:
+def _merge_witnesses(parts: list[PlaneEmbedding], g: Graph,
+                     k: int) -> Optional[PlaneEmbedding]:
     """Stitch per-component embeddings into one embedding of g (components
     drawn side by side); outer dart taken from the first component."""
     parts = [p for p in parts if p is not None and p.graph.m]
     if not parts:
         return None
-    base = max(g.vertices, default=-1) + 1
-    crossings: list[CrossingPair] = []
-    rotation: dict[int, tuple] = {}
+    crossings: list[tuple[int, int]] = []
     edge_order: dict[int, tuple[int, ...]] = {}
     for p in parts:
-        offset = len(crossings)
-        remap = {c.dummy: base + offset + i for i, c in enumerate(p.crossings)}
-        for c in p.crossings:
-            crossings.append(CrossingPair(c.edges, remap[c.dummy]))
         for e, order in p.edge_order.items():
-            edge_order[e] = tuple(i + offset for i in order)
+            edge_order[e] = tuple(len(crossings) + i for i in order)
+        crossings.extend(c.edges for c in p.crossings)
+    dummies = iter(c.dummy for c in
+                   unrotated_embedding(g, crossings, edge_order).crossings)
+    rotation: dict[int, list[tuple[int, int, int]]] = {}
+    for p in parts:
+        remap = {c.dummy: next(dummies) for c in p.crossings}
         for v, darts in p.rotation.items():
-            rotation[remap.get(v, v)] = darts
-    emb = PlaneEmbedding(g, tuple(crossings), edge_order, rotation,
-                         parts[0].outer)
-    return emb
+            rotation[remap.get(v, v)] = [p.int_to_dart(d) for d in darts]
+    return build_embedding(g, crossings, rotation,
+                           parts[0].int_to_dart(parts[0].outer), k=k,
+                           edge_order=edge_order)
 
 
 def decide(g: Graph, pred: Predicate, cap: int = DEFAULT_EDGE_CAP,
@@ -484,5 +457,5 @@ def decide(g: Graph, pred: Predicate, cap: int = DEFAULT_EDGE_CAP,
 
     witness = None
     if answer and not pred.geometric and pred.variant == "plain":
-        witness = _merge_witnesses(sub_witnesses, g)
+        witness = _merge_witnesses(sub_witnesses, g, pred.k)
     return Verdict(answer, witness, total)

@@ -7,15 +7,21 @@ orbits of "twin, then clockwise successor at the twin's origin"; with that
 convention the corner swept clockwise into a dart at its origin belongs to
 the dart's own face.
 
-Dart encoding (also used in the JSON format): ``(edge, end, seg)`` where
-``end`` 0 points from the edge's smaller endpoint toward the larger one and
-1 the reverse, and ``seg`` indexes the planarization segment along the edge
-(0 for uncrossed edges, in which case JSON omits it).
+Inside, a dart is an int ``2*segment + end`` of the planarization: the
+rotations and the outer dart of a ``PlaneEmbedding`` are stored that way.
+Encoded darts ``(edge, end, seg)`` appear only at the boundary: in
+``build_embedding``'s input, in the JSON format, in ``faces()`` and in
+``dart_to_int``/``int_to_dart``.  There ``end`` 0 points from the edge's
+smaller endpoint toward the larger one and 1 the reverse, and ``seg``
+indexes the planarization segment along the edge (0 for uncrossed edges, in
+which case JSON omits it).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -96,12 +102,19 @@ class Planarization:
         return {d: i for i, cyc in enumerate(self.faces) for d in cyc}
 
     @cached_property
+    def node_darts(self) -> dict[int, list[int]]:
+        """Node -> the darts leaving it, in segment order."""
+        out: dict[int, list[int]] = {}
+        for s, (a, b) in enumerate(self.segments):
+            out.setdefault(a, []).append(2 * s)
+            out.setdefault(b, []).append(2 * s + 1)
+        return out
+
+    @cached_property
     def components(self) -> list[frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.rotation}
-        for a, b in self.segments:
-            adj[a].add(b)
-            adj[b].add(a)
-        return connected_components(adj, adj.__getitem__)
+        darts = self.node_darts
+        return connected_components(
+            darts, lambda v: (self.target(d) for d in darts[v]))
 
     def check_genus_zero(self) -> None:
         """Euler check per connected component: V - E + F == 2."""
@@ -174,20 +187,17 @@ class PlaneEmbedding:
     """Validated planarization of a (<=k)-planar drawing of ``graph``.
 
     ``edge_order`` lists each edge's crossing indices in drawing order from
-    the edge's smaller endpoint.  ``outer`` designates the unbounded face.
+    the edge's smaller endpoint.  ``rotation`` holds the clockwise int darts
+    at every node and ``outer`` an int dart of the unbounded face.
     """
 
     graph: Graph
     crossings: tuple[CrossingPair, ...]
     edge_order: dict[int, tuple[int, ...]]
-    rotation: dict[int, tuple[Dart, ...]]
-    outer: Optional[Dart]
+    rotation: dict[int, tuple[int, ...]]
+    outer: Optional[int]
 
     # -- dummy/segment layout ------------------------------------------------
-
-    @cached_property
-    def dummy_base(self) -> int:
-        return max(self.graph.vertices, default=-1) + 1
 
     def edge_path(self, e: int) -> tuple[int, ...]:
         """Planarization node path of edge e from its smaller endpoint."""
@@ -196,31 +206,24 @@ class PlaneEmbedding:
         return (u,) + mids + (v,)
 
     @cached_property
-    def _seg_table(self) -> dict[tuple[int, int], int]:
-        table = {}
-        idx = 0
-        for e in sorted(self.graph.edges):
-            for j in range(len(self.edge_order.get(e, ())) + 1):
-                table[(e, j)] = idx
-                idx += 1
-        return table
+    def _seg_info(self) -> tuple[tuple[int, int], ...]:
+        """segment index -> (edge, seg within edge)"""
+        return tuple((e, j) for e in sorted(self.graph.edges)
+                     for j in range(len(self.edge_order.get(e, ())) + 1))
 
     @cached_property
-    def _seg_info(self) -> tuple[tuple[int, int, int], ...]:
-        """segment index -> (edge, seg within edge, #segments of that edge)"""
-        out = []
-        for e in sorted(self.graph.edges):
-            t = len(self.edge_order.get(e, ()))
-            for j in range(t + 1):
-                out.append((e, j, t + 1))
-        return tuple(out)
+    def _seg_table(self) -> dict[tuple[int, int], int]:
+        return {es: s for s, es in enumerate(self._seg_info)}
+
+    def edge_of(self, d: int) -> int:
+        return self._seg_info[d >> 1][0]
 
     def dart_to_int(self, dart: Dart) -> int:
         e, end, seg = dart
         return 2 * self._seg_table[(e, seg)] + end
 
     def int_to_dart(self, d: int) -> Dart:
-        e, j, _ = self._seg_info[d >> 1]
+        e, j = self._seg_info[d >> 1]
         return (e, d & 1, j)
 
     @cached_property
@@ -229,9 +232,7 @@ class PlaneEmbedding:
         for e in sorted(self.graph.edges):
             path = self.edge_path(e)
             segs.extend(zip(path, path[1:]))
-        rot = {v: tuple(self.dart_to_int(d) for d in darts)
-               for v, darts in self.rotation.items()}
-        return Planarization(tuple(segs), rot)
+        return Planarization(tuple(segs), self.rotation)
 
     # -- faces ----------------------------------------------------------------
 
@@ -243,7 +244,7 @@ class PlaneEmbedding:
 
     @cached_property
     def outer_face(self) -> int:
-        return self.planarization.face_of[self.dart_to_int(self.outer)]
+        return self.planarization.face_of[self.outer]
 
     def face_vertices(self, face: int) -> frozenset[int]:
         plan = self.planarization
@@ -268,6 +269,33 @@ class PlaneEmbedding:
         return (min(common), False)
 
 
+def unrotated_embedding(
+    g: Graph,
+    crossings: Sequence[tuple[int, int]],
+    edge_order: Optional[Mapping[int, Sequence[int]]] = None,
+) -> PlaneEmbedding:
+    """The embedding of g with the given crossing pairs and no rotation yet.
+
+    Dummy i is ``max vertex + 1 + i``; each edge meets its crossings in list
+    order unless ``edge_order`` gives their drawing order.  The only check is
+    that ``edge_order`` lists each edge's own crossings.
+    """
+    base = max(g.vertices, default=-1) + 1
+    per_edge: dict[int, list[int]] = {}
+    for i, pair in enumerate(crossings):
+        for e in pair:
+            per_edge.setdefault(e, []).append(i)
+    given = edge_order or {}
+    order = {e: tuple(given.get(e, lst)) for e, lst in per_edge.items()}
+    for e, lst in per_edge.items():
+        if sorted(order[e]) != lst:
+            raise EmbeddingError(
+                "bad-crossing", f"edge_order for edge {e} inconsistent")
+    return PlaneEmbedding(g, tuple(CrossingPair(tuple(p), base + i)
+                                   for i, p in enumerate(crossings)),
+                          order, {}, None)
+
+
 def build_embedding(
     g: Graph,
     crossings: Sequence[tuple[int, int]],
@@ -276,48 +304,39 @@ def build_embedding(
     k: int = 1,
     edge_order: Optional[Mapping[int, Sequence[int]]] = None,
 ) -> PlaneEmbedding:
-    """Validate and construct a PlaneEmbedding.
+    """Validate and construct a PlaneEmbedding from encoded darts.
 
-    ``crossings`` lists crossing edge pairs; dummy ids are assigned in list
-    order starting after the largest vertex id.  For k >= 2, ``edge_order``
-    must give each multiply-crossed edge its crossing indices in drawing
-    order (defaults to list order).
+    ``crossings`` lists crossing edge pairs, laid out as by
+    ``unrotated_embedding``.  For k >= 2, ``edge_order`` must give each
+    multiply-crossed edge its crossing indices in drawing order (defaults to
+    list order).
     """
-    base = max(g.vertices, default=-1) + 1
-    pairs = []
-    per_edge: dict[int, list[int]] = {}
     for i, (e1, e2) in enumerate(crossings):
         if e1 not in g.edges or e2 not in g.edges or e1 == e2:
             raise EmbeddingError("bad-crossing", f"crossing {i}: bad edge ids")
         if set(g.edges[e1]) & set(g.edges[e2]):
             raise EmbeddingError(
                 "bad-crossing", f"crossing {i}: edges share an endpoint")
-        pairs.append(CrossingPair((e1, e2), base + i))
-        per_edge.setdefault(e1, []).append(i)
-        per_edge.setdefault(e2, []).append(i)
-
-    for e, lst in per_edge.items():
-        if len(lst) > k:
+    for e, times in Counter(e for pair in crossings for e in pair).items():
+        if times > k:
             raise EmbeddingError(
-                "multiplicity", f"edge {e} crossed {len(lst)} > k={k} times")
-
-    order: dict[int, tuple[int, ...]] = {}
-    for e, lst in per_edge.items():
-        if edge_order is not None and e in edge_order:
-            given = tuple(edge_order[e])
-            if sorted(given) != sorted(lst):
-                raise EmbeddingError(
-                    "bad-crossing", f"edge_order for edge {e} inconsistent")
-            order[e] = given
-        else:
-            order[e] = tuple(lst)
-
-    emb = PlaneEmbedding(g, tuple(pairs), order,
-                         {v: tuple(map(tuple, darts))
-                          for v, darts in rotation.items()},
-                         tuple(outer) if outer is not None else None)
+                "multiplicity", f"edge {e} crossed {times} > k={k} times")
+    emb = unrotated_embedding(g, crossings, edge_order)
+    emb = dataclasses.replace(
+        emb, rotation={v: tuple(_encoded_to_int(emb, d) for d in darts)
+                       for v, darts in rotation.items()},
+        outer=None if outer is None else _encoded_to_int(emb, outer))
     validate_embedding(emb, k=k)
     return emb
+
+
+def _encoded_to_int(emb: PlaneEmbedding, dart: Sequence[int]) -> int:
+    """The int of an encoded dart, or -1, which validation rejects, when the
+    tuple names no dart of the planarization."""
+    if (len(dart) == 3 and dart[1] in (0, 1)
+            and (dart[0], dart[2]) in emb._seg_table):
+        return emb.dart_to_int(dart)
+    return -1
 
 
 def validate_embedding(emb: PlaneEmbedding, k: int = 1) -> None:
@@ -328,22 +347,16 @@ def validate_embedding(emb: PlaneEmbedding, k: int = 1) -> None:
         if g.degree(v) == 0:
             raise EmbeddingError(
                 "dangling-dart", f"isolated vertex {v} cannot be embedded")
-    expected: dict[int, set[Dart]] = {v: set() for v in g.vertices}
-    for c in emb.crossings:
-        expected[c.dummy] = set()
-    for e in sorted(g.edges):
-        path = emb.edge_path(e)
-        for j in range(len(path) - 1):
-            expected[path[j]].add((e, 0, j))
-            expected[path[j + 1]].add((e, 1, j))
-    for v, darts in expected.items():
-        got = emb.rotation.get(v)
-        if got is None or set(got) != darts or len(got) != len(darts):
+    plan = emb.planarization
+    node_darts = plan.node_darts
+    for v in [*g.vertices, *(c.dummy for c in emb.crossings)]:
+        got, darts = emb.rotation.get(v), node_darts[v]
+        if got is None or len(got) != len(darts) or set(got) != set(darts):
             raise EmbeddingError(
                 "dangling-dart", f"rotation at {v} does not list exactly its "
                 f"incident darts")
     for v in emb.rotation:
-        if v not in expected:
+        if v not in node_darts:
             raise EmbeddingError("dangling-dart", f"rotation for unknown {v}")
 
     for c in emb.crossings:
@@ -351,20 +364,18 @@ def validate_embedding(emb: PlaneEmbedding, k: int = 1) -> None:
         if len(rot) != 4:
             raise EmbeddingError("alternation",
                                  f"dummy {c.dummy} has degree {len(rot)}")
-        owners = [d[0] for d in rot]
+        owners = [emb.edge_of(d) for d in rot]
         if owners[0] == owners[1] or owners[1] == owners[2]:
             raise EmbeddingError(
                 "alternation",
                 f"dummy {c.dummy} rotation does not alternate edges")
 
-    plan = emb.planarization
-    plan._face_next  # triggers dangling-dart detection
     plan.check_genus_zero()
 
     if emb.outer is not None:
-        e, end, seg = emb.outer
-        if (e, seg) not in emb._seg_table or end not in (0, 1):
-            raise EmbeddingError("bad-outer", f"outer dart {emb.outer} invalid")
+        if not 0 <= emb.outer < plan.dart_count:
+            raise EmbeddingError(
+                "bad-outer", "outer dart is not a dart of the planarization")
     elif g.edges:
         raise EmbeddingError("bad-outer", "non-empty embedding needs an outer dart")
 
@@ -390,60 +401,36 @@ def restrict(emb: PlaneEmbedding, edge_ids: Iterable[int]) -> PlaneEmbedding:
     if not keep <= set(emb.graph.edges):
         raise GraphError("restricting to edges outside the host")
     sub = emb.graph.subgraph_of_edges(keep)
+    if not keep:
+        return build_embedding(sub, [], {}, None)
 
-    kept_cross: list[tuple[int, int]] = []
-    cross_map: dict[int, int] = {}
-    for i, c in enumerate(emb.crossings):
-        if c.edges[0] in keep and c.edges[1] in keep:
-            cross_map[i] = len(kept_cross)
-            kept_cross.append(c.edges)
-
-    def new_seg(e: int, old_seg: int) -> int:
-        old = emb.edge_order.get(e, ())
-        return sum(1 for i in old[:old_seg] if i in cross_map)
-
+    kept = [i for i, c in enumerate(emb.crossings) if set(c.edges) <= keep]
+    cross_map = {i: j for j, i in enumerate(kept)}
     new_edge_order = {}
     for e in keep:
-        kept = tuple(cross_map[i] for i in emb.edge_order.get(e, ())
-                     if i in cross_map)
-        if kept:
-            new_edge_order[e] = kept
+        order = tuple(cross_map[i] for i in emb.edge_order.get(e, ())
+                      if i in cross_map)
+        if order:
+            new_edge_order[e] = order
 
-    old_dummy = {c.dummy: i for i, c in enumerate(emb.crossings)}
-    new_base = max(sub.vertices, default=-1) + 1
+    def encoded(d: int) -> Dart:
+        """Dart d in the subembedding: smoothing a dropped crossing merges
+        the segments on both sides of it."""
+        e, end, seg = emb.int_to_dart(d)
+        old = emb.edge_order.get(e, ())
+        return (e, end, sum(1 for i in old[:seg] if i in cross_map))
 
-    new_rot: dict[int, tuple[Dart, ...]] = {}
+    pairs = [emb.crossings[i].edges for i in kept]
+    new_dummy = {emb.crossings[i].dummy: c.dummy for i, c in zip(
+        kept, unrotated_embedding(sub, pairs, new_edge_order).crossings)}
+    dropped = {c.dummy for c in emb.crossings} - set(new_dummy)
+    new_rot: dict[int, list[Dart]] = {}
+    kept_darts = []
     for v, darts in emb.rotation.items():
-        mapped = []
-        for (e, end, seg) in darts:
-            if e not in keep:
-                continue
-            # a dart survives if its origin node survives; dummy-origin darts
-            # whose crossing was dropped are re-anchored by the merge below
-            mapped.append((e, end, seg))
-        if v in old_dummy and old_dummy[v] not in cross_map:
-            continue  # smoothed dummy
-        if not mapped:
-            continue  # vertex became isolated
-        node = (new_base + cross_map[old_dummy[v]]) if v in old_dummy else v
-        new_rot[node] = tuple(mapped)
-
-    # merge segments across smoothed dummies: re-index every dart
-    def map_dart(d: Dart) -> Dart:
-        e, end, seg = d
-        return (e, end, new_seg(e, seg))
-
-    merged_rot: dict[int, tuple[Dart, ...]] = {}
-    for node, darts in new_rot.items():
-        seen: list[Dart] = []
-        for d in darts:
-            nd = map_dart(d)
-            if nd not in seen:
-                seen.append(nd)
-        merged_rot[node] = tuple(seen)
-
-    if not keep or not merged_rot:
-        return PlaneEmbedding(sub, (), {}, {}, None)
+        mapped = [d for d in darts if emb.edge_of(d) in keep]
+        kept_darts.extend(mapped)
+        if mapped and v not in dropped:  # else smoothed or isolated
+            new_rot[new_dummy.get(v, v)] = [encoded(d) for d in mapped]
 
     # outer face: union-find over old faces across removed segments
     plan = emb.planarization
@@ -455,30 +442,18 @@ def restrict(emb: PlaneEmbedding, edge_ids: Iterable[int]) -> PlaneEmbedding:
             x = parent[x]
         return x
 
-    for s, (e, j, _) in enumerate(emb._seg_info):
+    for s, (e, _) in enumerate(emb._seg_info):
         if e not in keep:
             f1, f2 = find(plan.face_of[2 * s]), find(plan.face_of[2 * s + 1])
             parent[f1] = f2
     outer_class = find(emb.outer_face)
-    new_outer = None
-    for v, darts in emb.rotation.items():
-        for d in darts:
-            if d[0] in keep and find(plan.face_of[emb.dart_to_int(d)]) == outer_class:
-                new_outer = map_dart(d)
-                break
-        if new_outer:
-            break
-    if new_outer is None:
-        # old outer bounded only by dropped edges; any surviving face absorbs it
-        new_outer = map_dart(next(d for v, darts in emb.rotation.items()
-                                  for d in darts if d[0] in keep))
-
-    out = PlaneEmbedding(sub, tuple(CrossingPair(p, new_base + i)
-                                    for i, p in enumerate(kept_cross)),
-                         new_edge_order, merged_rot, new_outer)
-    validate_embedding(out, k=max((len(v) for v in new_edge_order.values()),
-                                  default=1) or 1)
-    return out
+    # if only dropped edges bounded the old outer face, any surviving face
+    # absorbs it
+    new_outer = next((d for d in kept_darts
+                      if find(plan.face_of[d]) == outer_class), kept_darts[0])
+    return build_embedding(
+        sub, pairs, new_rot, encoded(new_outer), edge_order=new_edge_order,
+        k=max(map(len, new_edge_order.values()), default=1))
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +471,13 @@ def crossing_orientation(emb: PlaneEmbedding, cross_index: int,
     if a not in emb.graph.edges[e1] or b not in emb.graph.edges[e2]:
         raise GraphError(f"({a},{b}) do not anchor crossing {cross_index}")
 
-    def toward(e: int, v: int) -> Dart:
+    def toward(e: int, v: int) -> int:
         """The dart at the dummy on edge e whose strand leads to endpoint v."""
         path = emb.edge_path(e)
         pos = path.index(c.dummy)
         if v == path[0]:
-            return (e, 1, pos - 1)
-        return (e, 0, pos)
+            return emb.dart_to_int((e, 1, pos - 1))
+        return emb.dart_to_int((e, 0, pos))
 
     rot = emb.rotation[c.dummy]
     ia = rot.index(toward(e1, a))
@@ -515,8 +490,8 @@ def crossing_orientation(emb: PlaneEmbedding, cross_index: int,
 # JSON round trip
 # ---------------------------------------------------------------------------
 
-def _dart_json(emb: PlaneEmbedding, d: Dart) -> list[int]:
-    e, end, seg = d
+def _dart_json(emb: PlaneEmbedding, d: int) -> list[int]:
+    e, end, seg = emb.int_to_dart(d)
     return [e, end] if not emb.edge_order.get(e) else [e, end, seg]
 
 

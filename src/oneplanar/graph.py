@@ -339,14 +339,7 @@ class TreedepthDecomposition:
             raise GraphError("decomposition does not cover V(g)")
         if not set(self.parent.values()) <= set(self.parent) | {-1}:
             raise GraphError("decomposition has a parent outside V(g)")
-        for v in self.parent:  # acyclicity of parent pointers
-            seen = set()
-            u = v
-            while u != -1:
-                if u in seen:
-                    raise GraphError("parent map has a cycle")
-                seen.add(u)
-                u = self.parent[u]
+        self.levels  # raises on a cyclic parent map
         for u, v in g.edges.values():
             if u not in self.ancestors(v) and v not in self.ancestors(u):
                 raise GraphError(f"edge {u, v} violates ancestor closure")

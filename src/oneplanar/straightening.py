@@ -220,7 +220,7 @@ def lmr_word(emb: PlaneEmbedding, a: int, b: int) -> LMRWord:
 
     letters = []
     for i in range(len(rot)):
-        e = emb.int_to_dart(rot[(start + i) % len(rot)])[0]
+        e = emb.edge_of(rot[(start + i) % len(rot)])
         if e == ab:
             letters.append("M")
         else:

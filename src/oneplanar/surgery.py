@@ -14,6 +14,7 @@ across every step.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -22,11 +23,11 @@ import json
 
 from .embedding import (
     Arc,
-    CrossingPair,
     PlaneEmbedding,
     Planarization,
     embedding_from_json,
     embedding_to_json,
+    unrotated_embedding,
     validate_embedding,
 )
 from .graph import Graph, GraphError, degree2_walks
@@ -168,7 +169,7 @@ class Arrangement:
         for cp in host.crossings:
             node = cp.dummy
             rot = []
-            for (e, end, seg) in host.rotation[node]:
+            for e, end, _ in map(host.int_to_dart, host.rotation[node]):
                 pid = strand_pid[(node, e)]
                 toward_end = (end == 0) == edge_dir[e]
                 rot.append((pid, 1 if toward_end else 0))
@@ -182,7 +183,7 @@ class Arrangement:
             if v in smoothed:
                 continue
             stubs = []
-            for (e, end, seg) in host.rotation[v]:
+            for e in map(host.edge_of, host.rotation[v]):
                 c = curve_of_edge[e]
                 curve = arr.curves[c]
                 if curve.closed:
@@ -199,7 +200,7 @@ class Arrangement:
 
     def _host_dart_key(self, host: PlaneEmbedding, curve_edges, curve_of_edge,
                        edge_dir, dart) -> tuple:
-        e, end, seg = dart
+        e, end, seg = host.int_to_dart(dart)
         c = curve_of_edge[e]
         path = self.node_path(c)
         passages_before = 0
@@ -647,14 +648,15 @@ def reshorten(simplified: SimplifiedSystem, target: int,
             rotation[v] = [end_dart(left, v), end_dart(right, v)]
 
     # dummies: map (passage, toward) onto the containing edge's strand darts
-    dummy_base = max(out_graph.vertices) + 1
-    for node in node_ids:
+    # unchecked, as perfbench/pool.json records outputs with adjacent crossings
+    emb = unrotated_embedding(out_graph, cross_pairs, edge_order)
+    for node, cp in zip(node_ids, emb.crossings):
         darts = []
         for pid, toward in arr.node_rot[node]:
             eid, low_first = passage_edge[pid]
             toward_high = (toward == 1) == low_first
             darts.append((eid, 0, 1) if toward_high else (eid, 1, 0))
-        rotation[dummy_base + cross_index[node]] = darts
+        rotation[cp.dummy] = darts
 
     # outer face: the dart leaving the outer segment's first marker
     def marker_out_dart(marker, nxt) -> tuple[int, int, int]:
@@ -678,10 +680,10 @@ def reshorten(simplified: SimplifiedSystem, target: int,
     a, b = arr.outer_key
     outer = marker_out_dart(a, b)
 
-    emb = PlaneEmbedding(out_graph, tuple(
-        CrossingPair(p, dummy_base + i) for i, p in enumerate(cross_pairs)),
-        {e: tuple(lst) for e, lst in edge_order.items()},
-        {v: tuple(d) for v, d in rotation.items()}, outer)
+    emb = dataclasses.replace(
+        emb, rotation={v: tuple(emb.dart_to_int(d) for d in darts)
+                       for v, darts in rotation.items()},
+        outer=emb.dart_to_int(outer))
     try:
         validate_embedding(emb, k=1)
     except Exception as err:  # demand-tight targets can force end-edge clashes

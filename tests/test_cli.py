@@ -187,6 +187,42 @@ def test_simplify_cli_round_trip(tmp_path):
     arc_system_from_json(Path(out).read_text())  # output revalidates
 
 
+# An arc system whose `simplify` output lets two edges with a common
+# endpoint cross: reshorten builds its embedding without the check that
+# build_embedding makes, and validate_embedding does not repeat it.
+ADJACENT_CROSSING_SYSTEM = {
+    "arcs": [[1, 5, 6, 2], [3, 7, 8, 4]],
+    "crossings": [[0, 6], [2, 7]],
+    "edges": [[0, 1], [0, 2], [0, 4], [0, 5], [0, 7], [2, 3], [3, 4],
+              [5, 6], [6, 7]],
+    "outer": [0, 0, 0],
+    "rotation": {"0": [[0, 0, 0], [1, 0], [4, 0], [2, 0, 0], [3, 0]],
+                 "1": [[0, 1, 1]],
+                 "2": [[1, 1], [5, 0]],
+                 "3": [[5, 1], [6, 0, 0]],
+                 "4": [[2, 1, 1], [6, 1, 1]],
+                 "5": [[3, 1], [7, 0, 0]],
+                 "6": [[7, 1, 1], [8, 0]],
+                 "7": [[4, 1], [8, 1]],
+                 "8": [[0, 1, 0], [6, 0, 1], [0, 0, 1], [6, 1, 0]],
+                 "9": [[2, 1, 0], [7, 0, 1], [2, 0, 1], [7, 1, 0]]},
+    "static": [0],
+    "vertices": [0, 1, 2, 3, 4, 5, 6, 7],
+}
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="simplify output can cross adjacent edges")
+def test_simplify_output_passes_check_embedding(tmp_path, capsys):
+    infile = tmp_path / "system.json"
+    infile.write_text(json.dumps(ADJACENT_CROSSING_SYSTEM))
+    out = str(tmp_path / "simplified.json")
+    assert main(["simplify", "--in", str(infile), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["check-embedding", "--in", out]) == 0
+    assert capsys.readouterr().out.startswith("OK: ")
+
+
 def test_cli_deterministic(tmp_path):
     infile = write_graph(tmp_path, "theta.edges", theta_graph((1, 10, 10)))
     outs = []
@@ -215,6 +251,8 @@ MALFORMED = {
     "edge-file": (["decide", "--in", "@bad"], "0 1\n1 x\n"),
     "decomposition-file": (TD_DEC, "0 -1\n1 x\n"),
     "decomposition-foreign-parent": (TD_DEC, "0 -1\n1 0\n2 7\n"),
+    "decomposition-cycle-below-root": (TD_DEC, "0 -1\n1 2\n2 1\n"),
+    "decomposition-no-root": (TD_DEC, "0 1\n1 0\n2 0\n"),
     "ordering-file": (LIFT, "0 1\n1 x\n"),
     "ordering-misses-vertex": (LIFT, "0 1\n1 2\n"),
     "items": (["gen-binpack", "--items", "3,x", "--bins", "2",

@@ -124,11 +124,31 @@ def test_k5_crossing_orientation_well_defined():
 def test_dummy_alternation_enforced():
     g = complete_graph(5)
     emb = k5_one_crossing()
-    rotation = {v: list(d) for v, d in emb.rotation.items()}
+    rotation = {v: [emb.int_to_dart(d) for d in darts]
+                for v, darts in emb.rotation.items()}
     rotation[5] = [(9, 1, 0), (9, 0, 1), (0, 0, 1), (0, 1, 0)]  # not alternating
     with pytest.raises(EmbeddingError) as err:
         build_embedding(g, [(9, 0)], rotation, outer=(8, 1, 0))
     assert err.value.kind == "alternation"
+
+
+# On C3 every edge is one segment, so a naive ``2*seg + end`` would read
+# (1, 2, 0) as int 4, the valid dart (2, 0, 0): encoded darts that name no
+# dart must be rejected before they become ints.
+@pytest.mark.parametrize("at_0, outer, kind", [
+    ([(0, 0, 0), (1, 2, 0)], (0, 0, 0), "dangling-dart"),
+    ([(0, 0, 0), (1, 0, 1)], (0, 0, 0), "dangling-dart"),
+    ([(0, 0, 0), (1, 0)], (0, 0, 0), "dangling-dart"),
+    ([(0, 0, 0), (1, 0, 0), (0, 0, 0)], (0, 0, 0), "dangling-dart"),
+    ([(0, 0, 0), (1, 0, 0)], (0, 2, 0), "bad-outer"),
+    ([(0, 0, 0), (1, 0, 0)], (3, 0, 0), "bad-outer"),
+], ids=["end-2", "segment-out-of-range", "two-element", "duplicated",
+        "outer-end-2", "outer-unknown-segment"])
+def test_malformed_darts_rejected(at_0, outer, kind):
+    rotation = {0: at_0, 1: [(0, 1, 0), (2, 0, 0)], 2: [(1, 1, 0), (2, 1, 0)]}
+    with pytest.raises(EmbeddingError) as err:
+        build_embedding(complete_graph(3), [], rotation, outer=outer)
+    assert err.value.kind == kind
 
 
 def test_crossing_with_shared_endpoint_rejected():
@@ -234,8 +254,7 @@ def test_json_preserves_structure():
     emb = k5_one_crossing()
     loaded = embedding_from_json(embedding_to_json(emb))
     assert len(faces(loaded)) == 8
-    assert loaded.outer_face == loaded.planarization.face_of[
-        loaded.dart_to_int(loaded.outer)]
+    assert loaded.outer_face == loaded.planarization.face_of[loaded.outer]
 
 
 # ---------------------------------------------------------------------------

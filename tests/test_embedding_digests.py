@@ -1,0 +1,256 @@
+"""sha256 of ``embedding_to_json`` for embeddings built by the decider,
+``restrict`` and ``reshorten``, recorded while ``PlaneEmbedding`` still
+stored encoded ``(edge, end, seg)`` darts: storing int darts must not change
+a byte of any output."""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from oneplanar.decider import Predicate, decide
+from oneplanar.embedding import embedding_to_json, restrict
+from oneplanar.graph import Graph
+from oneplanar.surgery import arc_system, reshorten, simplify
+
+from conftest import complete_bipartite, complete_graph, wheel_graph
+from test_embedding import c3_embedding, k4_planar, k5_one_crossing, w5_planar
+from test_surgery import bowtie_c4, first_embedding, random_arc_system
+
+# the six predicates of the benchmark pool
+PREDICATES = {
+    "plain": Predicate(),
+    "geo": Predicate(geometric=True),
+    "ab-outer-geo": Predicate("ab-outer", a=0, b=1, geometric=True),
+    "ab-shared": Predicate("ab-shared", a=0, b=2),
+    "a-outer-geo": Predicate("a-outer", a=0, geometric=True),
+    "k2": Predicate(k=2),
+}
+
+GRAPHS = {
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    "K3,3": complete_bipartite(3, 3),
+    "W5": wheel_graph(5),
+}
+
+FIXTURES = {"c3": c3_embedding, "k4": k4_planar, "k5x": k5_one_crossing,
+            "w5": w5_planar}
+
+
+def _decide_cases():
+    for name, g in GRAPHS.items():
+        for pred_name, pred in PREDICATES.items():
+            yield f"decide/{name}/{pred_name}", (
+                lambda g=g, pred=pred: decide(g, pred).witness)
+    two_k4 = Graph.build([(u + s, v + s) for s in (0, 4)
+                          for u in range(4) for v in range(u + 1, 4)])
+    yield "decide/2K4/plain", lambda: decide(two_k4, Predicate()).witness
+
+
+def _restrict_cases():
+    for name, build in FIXTURES.items():
+        rng = random.Random(name)
+        ids = sorted(build().graph.edges)
+        for i in range(6):
+            keep = [e for e in ids if rng.random() < 0.6]
+            yield f"restrict/{name}/{i}", (
+                lambda build=build, keep=keep: restrict(build(), keep))
+
+
+def _surgery_systems():
+    bigon = Graph.build([(0, 2), (0, 4), (1, 3), (1, 4), (2, 5), (3, 5)])
+    one = Graph.build([(0, 2), (0, 3), (1, 2), (1, 4), (3, 4)])
+    yield "bowtie", lambda: arc_system(bowtie_c4(), [])
+    yield "bigon", lambda: arc_system(
+        first_embedding(bigon, [(1, 4), (3, 5)]), [0, 2])
+    yield "static", lambda: arc_system(first_embedding(one, [(0, 4)]),
+                                       [1, 3, 4])
+    for seed in range(4):
+        yield f"random{seed}", (
+            lambda seed=seed: random_arc_system(random.Random(seed)))
+        yield f"straight{seed}", (
+            lambda seed=seed: random_arc_system(random.Random(seed),
+                                                want_straight=True))
+
+
+def _simplify_cases():
+    """``simplify``, then ``reshorten`` to the CLI's default target, or in
+    the geometric mode to the demand bound of ``test_surgery``."""
+    for name, system in _surgery_systems():
+        for geometric in (False, True):
+            def run(system=system, geometric=geometric):
+                out = simplify(system())
+                arr = out.arrangement
+                demand = max((arr.crossings_of_curve(c)
+                              for c in arr.arc_curve_ids()), default=0)
+                target = (2 * demand + 3 if geometric
+                          else max(demand, out.s + out.f - 1, 3))
+                return reshorten(out, target, geometric=geometric)[1]
+            yield f"simplify/{name}/{'geo' if geometric else 'plain'}", run
+
+
+CASES = dict([*_decide_cases(), *_restrict_cases(), *_simplify_cases()])
+
+
+def digest(name: str) -> str:
+    emb = CASES[name]()
+    text = "None" if emb is None else embedding_to_json(emb)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+DIGESTS = {
+    "decide/2K4/plain":
+        "1c357b3ee398d10ffc95e939db682c0d742033a8dfafd4e1822a63f5f8ee6f8d",
+    "decide/K3,3/a-outer-geo":
+        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+    "decide/K3,3/ab-outer-geo":
+        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+    "decide/K3,3/ab-shared":
+        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+    "decide/K3,3/geo":
+        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+    "decide/K3,3/k2":
+        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+    "decide/K3,3/plain":
+        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+    "decide/K4/a-outer-geo":
+        "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
+    "decide/K4/ab-outer-geo":
+        "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
+    "decide/K4/ab-shared":
+        "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
+    "decide/K4/geo":
+        "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
+    "decide/K4/k2":
+        "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
+    "decide/K4/plain":
+        "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
+    "decide/K5/a-outer-geo":
+        "2ae4c35dec0cac4b51b5826e1154a986b507e58f869ad8b1916dff6bef3a90de",
+    "decide/K5/ab-outer-geo":
+        "6428f371f32cb971bd87b9698aa40cbb45e05c647a24dd811fb63d4269c3e2db",
+    "decide/K5/ab-shared":
+        "361d4f5dff2c94f0e1758cc4c394c35af820b3bf5ea2271c56b1ac49f5408b02",
+    "decide/K5/geo":
+        "2ae4c35dec0cac4b51b5826e1154a986b507e58f869ad8b1916dff6bef3a90de",
+    "decide/K5/k2":
+        "361d4f5dff2c94f0e1758cc4c394c35af820b3bf5ea2271c56b1ac49f5408b02",
+    "decide/K5/plain":
+        "361d4f5dff2c94f0e1758cc4c394c35af820b3bf5ea2271c56b1ac49f5408b02",
+    "decide/W5/a-outer-geo":
+        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+    "decide/W5/ab-outer-geo":
+        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+    "decide/W5/ab-shared":
+        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+    "decide/W5/geo":
+        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+    "decide/W5/k2":
+        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+    "decide/W5/plain":
+        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+    "restrict/c3/0":
+        "52735ceca67f0a6ed748439d16a5ae3b0d673edb283c77dd370db3ebceeda8e4",
+    "restrict/c3/1":
+        "5a5327c4fb6dbdc700021256c5556bf77c4e5a58c316940be349c55ebd55270a",
+    "restrict/c3/2":
+        "5a5327c4fb6dbdc700021256c5556bf77c4e5a58c316940be349c55ebd55270a",
+    "restrict/c3/3":
+        "52735ceca67f0a6ed748439d16a5ae3b0d673edb283c77dd370db3ebceeda8e4",
+    "restrict/c3/4":
+        "6e8fc026328d38b0bc579915c36d1a33d5474c885bf95f5ae322908e6f235369",
+    "restrict/c3/5":
+        "5583f2d453bd52092f0153c263b954df9a310ec50a6f09df791f0d405370d00f",
+    "restrict/k4/0":
+        "7ae7213b774fc4735cb0b01c32a856a71ae27e58ee075cdba4ffc7bbc5826ced",
+    "restrict/k4/1":
+        "5a5327c4fb6dbdc700021256c5556bf77c4e5a58c316940be349c55ebd55270a",
+    "restrict/k4/2":
+        "3462aab8ba8a2ce2b0324f9e13ae2079184983265179cc460dc49a9793bbc224",
+    "restrict/k4/3":
+        "6d218603973fc1cff1496d32fff999edabb99cd011b051d38a497cc8575b1c3f",
+    "restrict/k4/4":
+        "04ce5da4da992182466c2bdb0adabf3284d373f820fc9907fc47c1c626da4f6c",
+    "restrict/k4/5":
+        "152c60ac258d9c05257420771f10d519eeec39cddacc6fcf9e7d296c51008f4c",
+    "restrict/k5x/0":
+        "24f140152559b6f24a5e1a919462abf0da24d42a575da466b1f7c14132dc8a1c",
+    "restrict/k5x/1":
+        "79b0db569bfb64547b9a498caa10e0755b9d38262a4a39e34c55ff741b503ce0",
+    "restrict/k5x/2":
+        "8702b8cd7594af0c0667d5bfa20aef887edd64cc76b9b56050f8c6e736f7be38",
+    "restrict/k5x/3":
+        "65e0f14ec3a86a274e5ba5295832c2b0e9340e09db4590a47d96ce84401c5780",
+    "restrict/k5x/4":
+        "7c216cf495288c717e0d1d435e1ce7c2eb553a6d8398a4170bbd9a971c38a084",
+    "restrict/k5x/5":
+        "45a09740b2b57dfa90a1f17339d79044a362143ec996e418a2637164c0ff15bd",
+    "restrict/w5/0":
+        "9f607bb563edf45d9c3732d39365d82c837d57aa515cd1f0723467a0999689fa",
+    "restrict/w5/1":
+        "f1773bce5769a6206b1aed33784c625fea40e996137ea479e3e4a7951088fb88",
+    "restrict/w5/2":
+        "be10a82293847de10e0249307575ff3edc43da0cb8881adc91781e1f0c694df7",
+    "restrict/w5/3":
+        "09560f30cc6fa02c99676b0a9ef69b6430ef2327d3d133bbedcefc1b2ceea638",
+    "restrict/w5/4":
+        "6bf6aa887bfde819868935c6019548a2accbd48e716d3ee53f850a9ff81304ba",
+    "restrict/w5/5":
+        "c53fa022aea1b2ba89e48d4538dfc4d70990b61910541bf71c1d7b1fd4e63cd7",
+    "simplify/bigon/geo":
+        "0c41b03f67624eeac95d8db627c042f6f8f484edfa1d55c7adadf531336486fd",
+    "simplify/bigon/plain":
+        "0c41b03f67624eeac95d8db627c042f6f8f484edfa1d55c7adadf531336486fd",
+    "simplify/bowtie/geo":
+        "be7654f2b58e523c9faa1f77ea12950a0c8da658e6300e07e89630d522d2e8e3",
+    "simplify/bowtie/plain":
+        "be7654f2b58e523c9faa1f77ea12950a0c8da658e6300e07e89630d522d2e8e3",
+    "simplify/random0/geo":
+        "04bbb927695e55e477c09a9101ebe0a3c888b7ad8c5128ba12f437fdc7fb499b",
+    "simplify/random0/plain":
+        "9cabab9509e0c8355d71b8b81f78ca30ce7df20dac87d8746c7078795695d43d",
+    "simplify/random1/geo":
+        "b9e1b3a9de2782e3fcedb803f9ce051bb09231aaaf9aac31d70b4d76aecf96a3",
+    "simplify/random1/plain":
+        "d89db06f05fd64bc783245f74b7918ae42fe9347f47367ba89fc9b4363eed9af",
+    "simplify/random2/geo":
+        "ada589944c7b0aafabaffd5e1889bb2f665b0c35dca642c5fdb321210caa21d3",
+    "simplify/random2/plain":
+        "ada589944c7b0aafabaffd5e1889bb2f665b0c35dca642c5fdb321210caa21d3",
+    "simplify/random3/geo":
+        "5eb0fc4bd33456ae83c3ef2a03def6f6772cb426914909d8924c89ef138c344a",
+    "simplify/random3/plain":
+        "ff2c2d48c04eb5d02602030526af02af606c84b68e5b2dda945e65c8a1fb6025",
+    "simplify/static/geo":
+        "362307c282ffc7115a3d7665b56754b48de6ddeadada9a536c30085cb7d17011",
+    "simplify/static/plain":
+        "9f0adb782c79a3182e7577ad48cfd05a76834e79a0ab68340eabcd37de21e56e",
+    "simplify/straight0/geo":
+        "04bbb927695e55e477c09a9101ebe0a3c888b7ad8c5128ba12f437fdc7fb499b",
+    "simplify/straight0/plain":
+        "9cabab9509e0c8355d71b8b81f78ca30ce7df20dac87d8746c7078795695d43d",
+    "simplify/straight1/geo":
+        "9bfc78a3aa7d8fe59492a9d7d838d5f7999851b0580c25b2a3dd38589f24fcf1",
+    "simplify/straight1/plain":
+        "c381d1e5f1094954f56cbd34da58fbec58990c27a1ac2f6c6989a7c1983ef111",
+    "simplify/straight2/geo":
+        "50251e8e758409602af0e32b9f2ae4831bb9ce46674e18bf850be920cb52d5c2",
+    "simplify/straight2/plain":
+        "50251e8e758409602af0e32b9f2ae4831bb9ce46674e18bf850be920cb52d5c2",
+    "simplify/straight3/geo":
+        "0a8d757279aadfca640722616b2d52276222a2d646f9813999abf3057d88a241",
+    "simplify/straight3/plain":
+        "ebc906e96e66bd5e05077bdffabe42f814a2679aae9cb3fae1652e7a151a5a1b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_embedding_json_is_byte_identical(name):
+    assert digest(name) == DIGESTS[name]
+
+
+def test_every_case_has_a_digest():
+    assert sorted(DIGESTS) == sorted(CASES)
