@@ -1,65 +1,114 @@
-"""Exact rational plane geometry: segment intersections and validation of
-straight-line drawings where every edge is crossed at most once."""
+"""Exact plane geometry: segment intersections and validation of
+straight-line drawings where every edge is crossed at most once.
+
+Coordinates are rationals.  Each point is converted once to homogeneous
+integers ``(X, Y, W)`` with ``W > 0``; orientation is then the sign of an
+integer 3x3 determinant, read as the dot product of a point with the line
+``p x q`` through two others.  Per-point homogeneous coordinates stay small
+where a common denominator would not: the denominators of ``circle_points``
+and of chord intersections are unrelated, so their LCM keeps growing.
+
+Bounding boxes and on-segment tests compare ranks instead of coordinates:
+the distinct x values and the distinct y values are sorted once, exactly,
+and a point's ranks order it as its coordinates do, ties included.  A
+``Fraction`` is built only for the point of a proper crossing.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .graph import Graph
 
 Point = tuple[Fraction, Fraction]
+Homogeneous = tuple[int, int, int]
 
 
-def orient(p: Point, q: Point, r: Point) -> int:
-    """Sign of the cross product (q-p) x (r-p)."""
-    val = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+def _homogeneous(p: Point) -> Homogeneous:
+    x, y = p
+    return (x.numerator * y.denominator, y.numerator * x.denominator,
+            x.denominator * y.denominator)
+
+
+def _cross(p: Homogeneous, q: Homogeneous) -> Homogeneous:
+    """The line through two points, or the meet of two lines."""
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+            p[0] * q[1] - p[1] * q[0])
+
+
+def _side(line: Homogeneous, r: Homogeneous) -> int:
+    """Orientation of r against ``line == _cross(p, q)``: the sign of the
+    cross product (q-p) x (r-p), since every W is positive."""
+    val = line[0] * r[0] + line[1] * r[1] + line[2] * r[2]
     return (val > 0) - (val < 0)
 
 
-def on_segment(p: Point, q: Point, r: Point) -> bool:
-    """True if r lies on the closed segment pq (r assumed collinear)."""
-    return (min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1]))
+def _ranks(values: Iterable[Fraction]) -> dict[Fraction, int]:
+    return {v: i for i, v in enumerate(sorted(set(values)))}
+
+
+def _within(rx, ry, a, b, r) -> bool:
+    """True if point r lies in the closed bounding box of points a and b."""
+    return ((rx[a] <= rx[r] <= rx[b] or rx[b] <= rx[r] <= rx[a])
+            and (ry[a] <= ry[r] <= ry[b] or ry[b] <= ry[r] <= ry[a]))
+
+
+def _classify(h, rx, ry, p1, p2, lp, q1, q2, lq):
+    """Intersection kind of the closed segments p1p2 and q1q2, given as keys
+    into the homogeneous points ``h`` and the sort keys ``rx``, ``ry``, with
+    ``lp``, ``lq`` their lines.  A sort key orders the points as their x (y)
+    coordinates do and ties exactly where they tie: a rank, or the
+    coordinate itself.  Returns None, ("proper", None), ("touch", key of the
+    first touching endpoint) or ("overlap", None)."""
+    d1 = _side(lq, h[p1])
+    d2 = _side(lq, h[p2])
+    d3 = _side(lp, h[q1])
+    d4 = _side(lp, h[q2])
+    if d1 != d2 and d3 != d4 and d1 and d2 and d3 and d4:
+        return ("proper", None)
+
+    touches = []
+    if d1 == 0 and _within(rx, ry, q1, q2, p1):
+        touches.append(p1)
+    if d2 == 0 and _within(rx, ry, q1, q2, p2):
+        touches.append(p2)
+    if d3 == 0 and _within(rx, ry, p1, p2, q1):
+        touches.append(q1)
+    if d4 == 0 and _within(rx, ry, p1, p2, q2):
+        touches.append(q2)
+    if not touches:
+        return None
+    if len({(rx[t], ry[t]) for t in touches}) > 1:
+        return ("overlap", None)
+    return ("touch", touches[0])
+
+
+def _meet(lp: Homogeneous, lq: Homogeneous) -> Point:
+    x, y, w = _cross(lp, lq)
+    return (Fraction(x, w), Fraction(y, w))
 
 
 def segment_intersection(p1: Point, p2: Point, q1: Point, q2: Point
                          ) -> Optional[tuple[str, Optional[Point]]]:
-    """Classify the intersection of two closed segments.
+    """Classify the intersection of two closed segments whose endpoint
+    coordinates are ints or Fractions.
 
     Returns None for disjoint segments, ("proper", point) for a transversal
     interior crossing, ("touch", point) for a single shared boundary point,
     and ("overlap", None) for collinear overlap in more than one point.
     """
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-
-    if d1 != d2 and d3 != d4 and 0 not in (d1, d2, d3, d4):
-        # solve p1 + t (p2 - p1) on the line q1q2
-        ax, ay = p2[0] - p1[0], p2[1] - p1[1]
-        bx, by = q2[0] - q1[0], q2[1] - q1[1]
-        denom = ax * by - ay * bx
-        t = ((q1[0] - p1[0]) * by - (q1[1] - p1[1]) * bx) / denom
-        return ("proper", (p1[0] + t * ax, p1[1] + t * ay))
-
-    touches = []
-    if d1 == 0 and on_segment(q1, q2, p1):
-        touches.append(p1)
-    if d2 == 0 and on_segment(q1, q2, p2):
-        touches.append(p2)
-    if d3 == 0 and on_segment(p1, p2, q1):
-        touches.append(q1)
-    if d4 == 0 and on_segment(p1, p2, q2):
-        touches.append(q2)
-    if not touches:
-        return None
-    distinct = set(touches)
-    if len(distinct) > 1:
-        return ("overlap", None)
-    return ("touch", touches[0])
+    given = (p1, p2, q1, q2)
+    h = [_homogeneous(p) for p in given]
+    lp, lq = _cross(h[0], h[1]), _cross(h[2], h[3])
+    hit = _classify(h, [p[0] for p in given], [p[1] for p in given],
+                    0, 1, lp, 2, 3, lq)
+    if hit is None or hit[0] == "overlap":
+        return hit
+    if hit[0] == "proper":
+        return ("proper", _meet(lp, lq))
+    return ("touch", given[hit[1]])
 
 
 @dataclass
@@ -78,6 +127,7 @@ def validate_geometric_1planar(coords: Mapping[int, Point], g: Graph,
     edge; adjacent edges meet only at the shared endpoint; non-adjacent
     edges cross transversally in at most one interior point; crossing
     points pairwise distinct; per-edge crossing counts within bound.
+    Only vertices and edge pairs whose rank boxes meet are tested exactly.
     """
     violations: list[str] = []
     pts = {v: (Fraction(x), Fraction(y)) for v, (x, y) in coords.items()}
@@ -91,35 +141,52 @@ def validate_geometric_1planar(coords: Mapping[int, Point], g: Graph,
             violations.append(f"vertices {seen_pts[p]} and {v} coincide")
         seen_pts[p] = v
 
+    h = {v: _homogeneous(p) for v, p in pts.items()}
+    xs = _ranks(p[0] for p in pts.values())
+    ys = _ranks(p[1] for p in pts.values())
+    rx = {v: xs[p[0]] for v, p in pts.items()}
+    ry = {v: ys[p[1]] for v, p in pts.items()}
+
     ids = sorted(g.edges)
+    lines, boxes = {}, {}
     for e in ids:
         u, w = g.edges[e]
+        lines[e] = _cross(h[u], h[w])
+        # rank box: x low, x high, y low, y high
+        boxes[e] = (min(rx[u], rx[w]), max(rx[u], rx[w]),
+                    min(ry[u], ry[w]), max(ry[u], ry[w]))
+
+    for e in ids:
+        u, w = g.edges[e]
+        xlo, xhi, ylo, yhi = boxes[e]
         for v in g.vertices:
-            if v in (u, w):
-                continue
-            if orient(pts[u], pts[w], pts[v]) == 0 and on_segment(
-                    pts[u], pts[w], pts[v]):
+            if (xlo <= rx[v] <= xhi and ylo <= ry[v] <= yhi
+                    and v != u and v != w and _side(lines[e], h[v]) == 0):
                 violations.append(f"vertex {v} lies on edge {e}")
 
     crossings: list[tuple[int, int, Point]] = []
     per_edge: dict[int, int] = {e: 0 for e in ids}
     for i, e in enumerate(ids):
+        pe, qe = g.edges[e]
+        exlo, exhi, eylo, eyhi = boxes[e]
         for f in ids[i + 1:]:
-            pe, qe = (pts[x] for x in g.edges[e])
-            pf, qf = (pts[x] for x in g.edges[f])
-            shared = set(g.edges[e]) & set(g.edges[f])
-            hit = segment_intersection(pe, qe, pf, qf)
+            fxlo, fxhi, fylo, fyhi = boxes[f]
+            if fxlo > exhi or exlo > fxhi or fylo > eyhi or eylo > fyhi:
+                continue
+            pf, qf = g.edges[f]
+            hit = _classify(h, rx, ry, pe, qe, lines[e], pf, qf, lines[f])
             if hit is None:
                 continue
-            kind, point = hit
+            kind, key = hit
+            shared = {pe, qe} & {pf, qf}
             if shared:
-                ok_point = pts[next(iter(shared))]
-                if kind != "touch" or point != ok_point:
+                s = shared.pop()
+                if kind != "touch" or (rx[key], ry[key]) != (rx[s], ry[s]):
                     violations.append(
                         f"adjacent edges {e},{f} overlap beyond their endpoint")
                 continue
             if kind == "proper":
-                crossings.append((e, f, point))
+                crossings.append((e, f, _meet(lines[e], lines[f])))
                 per_edge[e] += 1
                 per_edge[f] += 1
             else:

@@ -425,8 +425,6 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     disconnected input; callers split components first."""
     if not g.vertices:
         raise GraphError("empty graph")
-    if not g.is_connected():
-        raise GraphError("block_cut_tree requires a connected graph")
 
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -479,6 +477,8 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                 blocks_edges.append(blk)
                 if u != start or root_children > 1:
                     cuts.add(u)
+    if len(disc) != g.n:
+        raise GraphError("block_cut_tree requires a connected graph")
 
     if g.m == 0:  # single vertex
         return BlockCutTree((frozenset(g.vertices),), frozenset(), ())

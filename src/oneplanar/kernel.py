@@ -209,7 +209,8 @@ def convex_certificate(g: Graph) -> dict[int, Point]:
     Open-path endpoints go on a circle and each path follows its chord;
     paths sharing both endpoints are layered at small offsets, and internal
     vertices are placed so every segment is crossed at most once.  The
-    result is re-validated with exact rational arithmetic."""
+    coordinates are rationals, and the result is re-validated exactly by
+    ``validate_geometric_1planar`` with integer orientation tests."""
     dec = decompose_degree2_paths(g)
     f = dec.p
     if any(length < f - 1 for length in dec.lengths):

@@ -129,6 +129,17 @@ def test_block_cut_tree_rejects_disconnected():
         block_cut_tree(g)
 
 
+@pytest.mark.parametrize("g", [
+    Graph.build([], vertices=[0, 1]),
+    Graph.build([(0, 1), (1, 2), (0, 2)], vertices=[3]),
+    Graph.build([(5, 6), (0, 1), (1, 2), (2, 0), (2, 3)]),
+], ids=["two-isolated", "triangle-plus-isolated", "two-components"])
+def test_block_cut_tree_disconnected_message(g):
+    with pytest.raises(GraphError,
+                       match="^block_cut_tree requires a connected graph$"):
+        block_cut_tree(g)
+
+
 def test_block_sum_identity(rng):
     # sum over blocks of (|block|-1) == |V|-1 for connected graphs
     for _ in range(40):
