@@ -167,10 +167,11 @@ def enumerate_crossing_sets(g: Graph, k: int = 1) -> Iterator[CrossingAssignment
 # Rotation-system enumeration
 # ---------------------------------------------------------------------------
 
-def _system_iter(g: Graph, assignment: CrossingAssignment,
-                 reduce_reflection: bool = True) -> Iterator[PlaneEmbedding]:
+def _system_iter(g: Graph, assignment: CrossingAssignment
+                 ) -> Iterator[PlaneEmbedding]:
     """Yield one PlaneEmbedding per genus-0 rotation system with proper
-    (alternating) crossings; the outer dart is a placeholder."""
+    (alternating) crossings, up to reflection; the outer dart is a
+    placeholder."""
     if not g.edges:
         return
     skeleton = unrotated_embedding(g, assignment.pairs, assignment.edge_order)
@@ -197,14 +198,13 @@ def _system_iter(g: Graph, assignment: CrossingAssignment,
         return [(a1, b1, a2, b2), (a1, b2, a2, b1)]
 
     nodes = sorted(node_darts)
-    pivot = None
-    real_nodes = [v for v in nodes if v not in dummy_set]
-    if reduce_reflection:
-        eligible = [v for v in real_nodes if len(node_darts[v]) >= 3]
-        if eligible:
-            pivot = max(eligible, key=lambda v: (len(node_darts[v]), -v))
-        elif dummies:
-            pivot = dummies[0]
+    pivot = None  # pinned to one of each mirror pair of its rotations
+    eligible = [v for v in nodes
+                if v not in dummy_set and len(node_darts[v]) >= 3]
+    if eligible:
+        pivot = max(eligible, key=lambda v: (len(node_darts[v]), -v))
+    elif dummies:
+        pivot = dummies[0]
 
     cand_lists: list[list[tuple[int, ...]]] = []
     for v in nodes:
@@ -263,10 +263,9 @@ def enumerate_embeddings(g: Graph, crossings, k: int = 1,
 # Canonical keys for memoization
 # ---------------------------------------------------------------------------
 
-def canonical_key(g: Graph, anchors: tuple[int, ...] = (),
-                  work_cap: int = 1000):
+def canonical_key(g: Graph, anchors: tuple[int, ...] = ()):
     """Isomorphism-invariant key for (g, anchors); falls back to the labeled
-    key when tie-breaking would exceed ``work_cap`` orderings."""
+    key when tie-breaking would exceed 1000 orderings."""
     verts = sorted(g.vertices)
     color = {v: (anchors.index(v) + 1 if v in anchors else 0, g.degree(v))
              for v in verts}
@@ -288,7 +287,7 @@ def canonical_key(g: Graph, anchors: tuple[int, ...] = (),
     for cls in ordered:
         for i in range(2, len(cls) + 1):
             work *= i
-        if work > work_cap:
+        if work > 1000:
             return ("labeled", frozenset(g.edges.values()), anchors)
 
     best = None
@@ -308,15 +307,27 @@ def canonical_key(g: Graph, anchors: tuple[int, ...] = (),
 # decide
 # ---------------------------------------------------------------------------
 
-def _check_predicate_faces(pred: Predicate, face_vertices: list[frozenset[int]],
-                           shared_exists: bool, outer: int) -> bool:
-    if pred.variant == "plain":
-        return True
-    if pred.variant == "a-outer":
-        return pred.a in face_vertices[outer]
-    if pred.variant == "ab-outer":
-        return pred.a in face_vertices[outer] and pred.b in face_vertices[outer]
-    return shared_exists  # ab-shared quantifies over all faces
+def _accepted_outer(emb: PlaneEmbedding, pred: Predicate) -> Optional[int]:
+    """The first face of emb that may be outer under pred, or None.
+
+    ab-shared needs some face holding both anchors and then accepts any
+    outer face; a-outer and ab-outer need the anchors on the outer face.
+    A geometric predicate also needs the outer face to leave no B/W
+    configuration."""
+    plan = emb.planarization
+    fverts = [frozenset(plan.origin(d) for d in cyc) for cyc in plan.faces]
+    if pred.variant == "ab-shared":
+        if not any(pred.a in fv and pred.b in fv for fv in fverts):
+            return None
+        outer_anchors: tuple[int, ...] = ()
+    else:
+        outer_anchors = pred.anchors
+    cands = candidate_configurations(emb) if pred.geometric else []
+    for f, fv in enumerate(fverts):
+        if (all(x in fv for x in outer_anchors)
+                and not any(c.is_configuration(f) for c in cands)):
+            return f
+    return None
 
 
 def _decide_connected(g: Graph, pred: Predicate, cap: int,
@@ -332,37 +343,15 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
     for assignment in enumerate_crossing_sets(g, pred.k):
         for emb in _system_iter(g, assignment):
             count += 1
-            plan = emb.planarization
-            fverts = [frozenset(plan.origin(d) for d in cyc)
-                      for cyc in plan.faces]
-            shared = (pred.variant != "ab-shared"
-                      or any(pred.a in fv and pred.b in fv for fv in fverts))
-            if not pred.geometric:
-                ok_faces = [f for f in range(len(fverts))
-                            if _check_predicate_faces(pred, fverts, shared, f)]
-                if shared and ok_faces:
-                    outer = ok_faces[0]
-                    witness = None
-                    if want_witness:
-                        witness = dataclasses.replace(
-                            emb, outer=plan.faces[outer][0])
-                        validate_embedding(witness, k=pred.k)
-                    return Verdict(True, witness, count)
+            outer = _accepted_outer(emb, pred)
+            if outer is None:
                 continue
-            if not shared:
-                continue
-            cands = candidate_configurations(emb)
-            for outer in range(len(fverts)):
-                if not _check_predicate_faces(pred, fverts, shared, outer):
-                    continue
-                if any(c.is_configuration(outer) for c in cands):
-                    continue
-                witness = None
-                if want_witness:
-                    witness = dataclasses.replace(
-                        emb, outer=plan.faces[outer][0])
-                    validate_embedding(witness, k=pred.k)
-                return Verdict(True, witness, count)
+            witness = None
+            if want_witness:
+                witness = dataclasses.replace(
+                    emb, outer=emb.planarization.faces[outer][0])
+                validate_embedding(witness, k=pred.k)
+            return Verdict(True, witness, count)
     return Verdict(False, None, count)
 
 

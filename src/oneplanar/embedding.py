@@ -218,6 +218,21 @@ class PlaneEmbedding:
     def edge_of(self, d: int) -> int:
         return self._seg_info[d >> 1][0]
 
+    def edge_segments(self, e: int) -> list[int]:
+        """The segments of edge e, from its smaller endpoint."""
+        return [self._seg_table[(e, j)]
+                for j in range(self.crossings_of_edge(e) + 1)]
+
+    def strand(self, e: int, v: int, dummy: int) -> int:
+        """The segment of edge e that meets ``dummy`` on the side of the
+        edge's endpoint v."""
+        path = self.edge_path(e)
+        pos = path.index(dummy)
+        seg = pos - 1 if v == path[0] else pos if v == path[-1] else None
+        if seg is None:
+            raise GraphError(f"{v} is not an endpoint of edge {e}")
+        return self._seg_table[(e, seg)]
+
     def dart_to_int(self, dart: Dart) -> int:
         e, end, seg = dart
         return 2 * self._seg_table[(e, seg)] + end
@@ -472,12 +487,9 @@ def crossing_orientation(emb: PlaneEmbedding, cross_index: int,
         raise GraphError(f"({a},{b}) do not anchor crossing {cross_index}")
 
     def toward(e: int, v: int) -> int:
-        """The dart at the dummy on edge e whose strand leads to endpoint v."""
-        path = emb.edge_path(e)
-        pos = path.index(c.dummy)
-        if v == path[0]:
-            return emb.dart_to_int((e, 1, pos - 1))
-        return emb.dart_to_int((e, 0, pos))
+        """The dart at the dummy on edge e whose strand leads to endpoint v:
+        the strand's far end when v is the edge's first endpoint."""
+        return 2 * emb.strand(e, v, c.dummy) + (v == emb.graph.edges[e][0])
 
     rot = emb.rotation[c.dummy]
     ia = rot.index(toward(e1, a))

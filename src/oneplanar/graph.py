@@ -316,32 +316,35 @@ class TreedepthDecomposition:
     def roots(self) -> tuple[int, ...]:
         return tuple(sorted(v for v, p in self.parent.items() if p == -1))
 
-    def ancestors(self, v: int) -> tuple[int, ...]:
-        """Ancestors of v including v itself, root first."""
-        chain = []
-        while v != -1:
-            chain.append(v)
-            v = self.parent[v]
-        return tuple(reversed(chain))
+    @cached_property
+    def preorder(self) -> tuple[int, ...]:
+        """The vertices in the depth-first preorder of ``levels``."""
+        return tuple(self.levels)
+
+    @cached_property
+    def spans(self) -> dict[int, tuple[int, int]]:
+        """Vertex v -> (start, end) with ``preorder[start:end]`` the subtree
+        of v, so u is a descendant of v iff start <= spans[u][0] < end."""
+        order = self.preorder
+        end: dict[int, int] = {}
+        for i in range(len(order) - 1, -1, -1):
+            kids = self.children[order[i]]
+            end[order[i]] = end[kids[-1]] if kids else i + 1
+        return {v: (i, end[v]) for i, v in enumerate(order)}
 
     def descendants(self, v: int) -> frozenset[int]:
-        out = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for c in self.children[u]:
-                out.add(c)
-                stack.append(c)
-        return frozenset(out)
+        start, end = self.spans[v]
+        return frozenset(self.preorder[start:end])
 
     def validate(self, g: Graph) -> None:
         if set(self.parent) != set(g.vertices):
             raise GraphError("decomposition does not cover V(g)")
         if not set(self.parent.values()) <= set(self.parent) | {-1}:
             raise GraphError("decomposition has a parent outside V(g)")
-        self.levels  # raises on a cyclic parent map
+        span = self.spans  # raises on a cyclic parent map
         for u, v in g.edges.values():
-            if u not in self.ancestors(v) and v not in self.ancestors(u):
+            (su, eu), (sv, ev) = span[u], span[v]
+            if not (su <= sv < eu or sv <= su < ev):
                 raise GraphError(f"edge {u, v} violates ancestor closure")
 
 

@@ -16,6 +16,7 @@ by a path of exactly the threshold length at j.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -260,23 +261,26 @@ def _layout(dec: Degree2PathDecomposition, open_idx, closed_idx,
 
     guides = {i: guide(i) for i in open_idx}
 
+    def param(i: int, px: Point) -> Fraction:
+        """Where px lies along guide i, from 0 at its start to 1 at its end."""
+        a, b = guides[i]
+        k = 0 if b[0] != a[0] else 1
+        return (px[k] - a[k]) / (b[k] - a[k])
+
+    # each unordered pair of guides is classified once
+    params: dict[int, list[Fraction]] = {i: [] for i in open_idx}
+    for i, j in itertools.combinations(open_idx, 2):
+        hit = segment_intersection(*guides[i], *guides[j])
+        if hit and hit[0] == "proper":
+            params[i].append(param(i, hit[1]))
+            params[j].append(param(j, hit[1]))
+
     for i in open_idx:
         a, b = guides[i]
         walk = dec.vertex_paths[i]
         length = dec.lengths[i]
-        params = []
-        for jdx in open_idx:
-            if jdx == i:
-                continue
-            hit = segment_intersection(a, b, *guides[jdx])
-            if hit and hit[0] == "proper":
-                px = hit[1]
-                denom = (b[0] - a[0]) or (b[1] - a[1])
-                t = ((px[0] - a[0]) / denom if b[0] != a[0]
-                     else (px[1] - a[1]) / denom)
-                params.append(t)
-        params.sort()
-        positions = _place_positions(params, length - 1, layer[i])
+        params[i].sort()
+        positions = _place_positions(params[i], length - 1, layer[i])
         for pos_idx, t in enumerate(positions):
             v = walk[pos_idx + 1]
             coords[v] = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))

@@ -77,22 +77,6 @@ def _require_one_planar(emb: PlaneEmbedding) -> None:
         raise GraphError("B/W detection requires a connected planarization")
 
 
-def _half_strand(emb: PlaneEmbedding, e: int, v: int, dummy: int) -> int:
-    """Segment index of edge e between endpoint v and the dummy (valid for
-    1-planar embeddings, where e has exactly one dummy)."""
-    path = emb.edge_path(e)
-    pos = path.index(dummy)
-    seg = pos - 1 if v == path[0] else pos if v == path[-1] else None
-    if seg is None:
-        raise GraphError(f"{v} is not an endpoint of edge {e}")
-    return emb._seg_table[(e, seg)]
-
-
-def _edge_segments(emb: PlaneEmbedding, e: int) -> list[int]:
-    t = emb.crossings_of_edge(e)
-    return [emb._seg_table[(e, j)] for j in range(t + 1)]
-
-
 def _vertex_side(emb: PlaneEmbedding, color: list[int], v: int) -> int:
     plan = emb.planarization
     return color[plan.face_of[plan.rotation[v][0]]]
@@ -124,9 +108,9 @@ def candidate_configurations(emb: PlaneEmbedding) -> list[_Candidate]:
                 if not g.has_edge(a, b):
                     continue
                 ab = g.edge_between(a, b)
-                cyc = {_half_strand(emb, e1, a, c.dummy),
-                       _half_strand(emb, e2, b, c.dummy),
-                       *_edge_segments(emb, ab)}
+                cyc = {emb.strand(e1, a, c.dummy),
+                       emb.strand(e2, b, c.dummy),
+                       *emb.edge_segments(ab)}
                 fars = (g.other_end(e1, a), g.other_end(e2, b))
                 cand = _make_candidate(emb, "B", (a, b), (i,), cyc, fars)
                 if cand is not None:
@@ -144,10 +128,10 @@ def candidate_configurations(emb: PlaneEmbedding) -> list[_Candidate]:
                 (a,), (b,) = a_set, b_set
                 if a == b:
                     continue
-                cyc = {_half_strand(emb, x1, a, c1.dummy),
-                       _half_strand(emb, x2, b, c1.dummy),
-                       _half_strand(emb, y2, b, c2.dummy),
-                       _half_strand(emb, y1, a, c2.dummy)}
+                cyc = {emb.strand(x1, a, c1.dummy),
+                       emb.strand(x2, b, c1.dummy),
+                       emb.strand(y2, b, c2.dummy),
+                       emb.strand(y1, a, c2.dummy)}
                 fars = (g.other_end(x1, a), g.other_end(y1, a),
                         g.other_end(x2, b), g.other_end(y2, b))
                 cand = _make_candidate(emb, "W", (a, b), (i, j), cyc, fars)

@@ -491,11 +491,12 @@ class SimplifiedSystem:
         return len(self.original.arcs)
 
 
-def simplify(sys: ArcSystem, check_each_step: bool = True) -> SimplifiedSystem:
+def simplify(sys: ArcSystem) -> SimplifiedSystem:
     """Apply Rule I (self-crossing removal) and Rule II (double-crossing
     removal between two arcs) to a fixpoint.  Crossings with static edges
     are preserved exactly; the total crossing count drops by 1 per Rule I
-    step and 2 per Rule II step."""
+    step and 2 per Rule II step.  The arrangement is validated after every
+    step."""
     arr = Arrangement.from_system(sys)
     arr.validate()
     r1 = r2 = 0
@@ -505,16 +506,14 @@ def simplify(sys: ArcSystem, check_each_step: bool = True) -> SimplifiedSystem:
         if hit1 is not None:
             arr.rule1(*hit1)
             r1 += 1
-            if check_each_step:
-                arr.validate()
+            arr.validate()
             assert arr.total_crossings() == before - 1
             continue
         hit2 = arr.find_double_crossing()
         if hit2 is not None:
             arr.rule2(*hit2)
             r2 += 1
-            if check_each_step:
-                arr.validate()
+            arr.validate()
             assert arr.total_crossings() == before - 2
             continue
         break

@@ -22,7 +22,13 @@ invalidates the cache.  Two things are cached:
   vertices and branches;
 * the attachment set of every decomposition node, bottom-up:
   att(c) = (N(c) | union of att(children)) - desc(c), which on a valid
-  decomposition is ((N(c) & anc(c)) | union of att(children)) - {c}.
+  decomposition is ((N(c) & anc(c)) | union of att(children)) - {c};
+  desc(c) is the preorder span of c (`TreedepthDecomposition.spans`).
+
+Each rule test is written once.  `_rule1_group` is the Rule I test,
+`_rule2_groups` the Rule II baseline and `_rule2_pairs` adds the block
+test; Phase I and `rules_apply_below` both read them.  `_filter_children`
+is the test, delete and reject loop of Rules II and III.
 
 Rules II and III delete the yes children of one call as one batch.  The
 children of one decomposition node, and the branches below one cut vertex,
@@ -35,7 +41,7 @@ order as with one deletion at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import decider
 from .decider import CapExceeded, Predicate
@@ -111,13 +117,16 @@ class PipelineOutcome:
     result: str  # "rejected" | "reduced" | "decided"
     answer: Optional[bool]
     graph: Graph
-    deletions: list
     oracle_calls: int
     log: list
 
     @property
     def rejected(self) -> bool:
         return self.result == "rejected"
+
+    @property
+    def deletions(self) -> list:
+        return [ev for ev in self.log if ev.get("action") == "delete"]
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +149,7 @@ def normalize_decomposition(g: Graph, t: TreedepthDecomposition
     while changed:
         changed = False
         work = TreedepthDecomposition(dict(parent))
+        att = _attachment_sets(g, work)
         for v in sorted(parent):
             if parent[v] == -1:
                 continue
@@ -154,8 +164,7 @@ def normalize_decomposition(g: Graph, t: TreedepthDecomposition
                         parent[r] = parent[v]
                 changed = True
                 break
-            attach = {u for x in desc for u in g.neighbors(x)} - desc
-            if not attach:
+            if not att[v]:
                 # lift: the subtree has no neighbor among its ancestors
                 parent[v] = parent[parent[v]]
                 changed = True
@@ -166,17 +175,14 @@ def normalize_decomposition(g: Graph, t: TreedepthDecomposition
 def _attachment_sets(g: Graph, t: TreedepthDecomposition
                      ) -> dict[int, frozenset[int]]:
     """N(desc(c)) - desc(c) for every node c, bottom-up over the reversed
-    preorder, where desc(c) is the preorder interval [pos[c], end[c])."""
-    order = list(t.levels)
-    pos = {v: i for i, v in enumerate(order)}
-    end: dict[int, int] = {}
+    preorder, where desc(c) is the preorder span of c."""
+    span = t.spans
     att: dict[int, frozenset[int]] = {}
-    for c in reversed(order):
-        kids = t.children[c]
-        end[c] = end[kids[-1]] if kids else pos[c] + 1
-        around = set(g.neighbors(c)).union(*(att[k] for k in kids))
+    for c in reversed(t.preorder):
+        start, end = span[c]
+        around = set(g.neighbors(c)).union(*(att[k] for k in t.children[c]))
         att[c] = frozenset(u for u in around
-                           if not pos[c] <= pos[u] < end[c])
+                           if not start <= span[u][0] < end)
     return att
 
 
@@ -216,32 +222,53 @@ def _delete(ctx: TDContext, drop: set[int]) -> None:
 # Rules
 # ---------------------------------------------------------------------------
 
+def _rule1_group(ctx: TDContext, v: int
+                 ) -> Optional[tuple[frozenset[int], list[int]]]:
+    """The attachment set, of size >= 3, shared by at least the Rule I
+    threshold of children of v, with those children; the smallest in sorted
+    order when there are several, None when there is none."""
+    limit = ctx.thresholds.rule1_at(ctx.d)
+    groups = _children_by_attachment(ctx, v)
+    fired = [x for x, cs in groups.items() if len(x) >= 3 and len(cs) >= limit]
+    if not fired:
+        return None
+    x = min(fired, key=sorted)
+    return x, groups[x]
+
+
 def apply_rule1(ctx: TDContext, v: int) -> Optional[dict]:
     """Reject when >= threshold children of v share one attachment set of
     size >= 3."""
-    groups = _children_by_attachment(ctx, v)
-    limit = ctx.thresholds.rule1_at(ctx.d)
-    for x, members in sorted(groups.items(), key=lambda kv: sorted(kv[0])):
-        if len(x) >= 3 and len(members) >= limit:
-            info = {"rule": "I", "action": "reject", "node": v,
-                    "attachment": sorted(x), "count": len(members),
-                    "threshold": limit}
-            ctx.log.append(info)
-            return info
-    return None
+    hit = _rule1_group(ctx, v)
+    if hit is None:
+        return None
+    x, members = hit
+    info = {"rule": "I", "action": "reject", "node": v,
+            "attachment": sorted(x), "count": len(members),
+            "threshold": ctx.thresholds.rule1_at(ctx.d)}
+    ctx.log.append(info)
+    return info
 
 
-def _rule2_pairs(ctx: TDContext, v: int) -> list[tuple[int, int]]:
-    """The pairs that are the attachment set of more than the Rule II
-    baseline of children of v, each as (shallower, deeper), ordered by the
-    levels of a, then b.  At every other pair of ancestors of v Rule II
-    does nothing."""
+def _rule2_groups(ctx: TDContext, v: int) -> dict[frozenset[int], list[int]]:
+    """The children of v grouped by attachment set, for the sets of size 2
+    shared by more than the Rule II baseline of children."""
     baseline = ctx.thresholds.rule2_baseline_at(ctx.d)
+    return {x: cs for x, cs in _children_by_attachment(ctx, v).items()
+            if len(x) == 2 and len(cs) > baseline}
+
+
+def _rule2_pairs(ctx: TDContext, v: int) -> Iterator[tuple[int, int]]:
+    """The pairs of ``_rule2_groups`` that share a block, each as
+    (shallower, deeper), ordered by the levels of a, then b.  A pair's block
+    test runs when it is drawn, after the deletions at the pairs before."""
     level = ctx.decomposition.levels
-    pairs = [tuple(sorted(x, key=level.__getitem__))
-             for x, cs in _children_by_attachment(ctx, v).items()
-             if len(x) == 2 and len(cs) > baseline]
-    return sorted(pairs, key=lambda ab: (level[ab[0]], level[ab[1]]))
+    pairs = sorted((tuple(sorted(x, key=level.__getitem__))
+                    for x in _rule2_groups(ctx, v)),
+                   key=lambda ab: (level[ab[0]], level[ab[1]]))
+    for a, b in pairs:
+        if ctx.blocks().share_block(a, b):
+            yield a, b
 
 
 def apply_rule2(ctx: TDContext, v: int, a: int, b: int) -> str:
@@ -250,61 +277,69 @@ def apply_rule2(ctx: TDContext, v: int, a: int, b: int) -> str:
     the yes children, and reject when too many no children survive.
 
     Returns one of "noop", "mutated", "rejected", "skipped"."""
-    baseline = ctx.thresholds.rule2_baseline_at(ctx.d)
-    children = _children_by_attachment(ctx, v).get(frozenset((a, b)), [])
-    if len(children) <= baseline:
+    children = _rule2_groups(ctx, v).get(frozenset((a, b)))
+    if children is None:
         return "noop"
     if rules_apply_below(ctx, v):
         ctx.log.append({"rule": "II", "action": "skip", "node": v,
                         "reason": "rules apply to a proper descendant"})
         return "skipped"
-    overflow = sorted(children)[baseline:]  # lexicographically last ones
+    # the lexicographically last children beyond the baseline, each tested
+    # with its attachment vertices but not the edge ab (the fusion argument
+    # books that edge to the rest)
+    overflow = sorted(children)[ctx.thresholds.rule2_baseline_at(ctx.d):]
+    tested = (({"child": c}, ctx.decomposition.descendants(c))
+              for c in overflow)
+    return _filter_children(ctx, "II", {"node": v, "pair": [a, b]},
+                            Predicate("ab-outer", a=a, b=b, geometric=True),
+                            (a, b), tested, ctx.thresholds.rule2_reject_at)
+
+
+def rules_apply_below(ctx: TDContext, v: int) -> bool:
+    """Whether Rule I or Rule II would fire at a proper descendant of v;
+    neither fires at a leaf."""
+    t = ctx.decomposition
+    return any(_rule1_group(ctx, u) is not None
+               or next(_rule2_pairs(ctx, u), None) is not None
+               for u in t.descendants(v) - {v} if t.children[u])
+
+
+def _filter_children(ctx: TDContext, rule: str, where: dict, pred: Predicate,
+                     rim: tuple[int, ...], children: Iterable,
+                     reject_at: Callable[[int], int]) -> str:
+    """The child filter of Rules II and III: oracle-test each child, a (log
+    tag, vertices) pair, on its subgraph with the ``rim``; delete the yes
+    children as one batch; reject when the rest, those over the oracle cap
+    included, number at least ``reject_at`` of their largest edge count.
+    ``where`` goes into the delete and reject events."""
     surviving = []
     drop: set[int] = set()
-    for c in overflow:
-        # the child subtree with its attachment vertices, minus the edge ab
-        # (the fusion argument books that edge to the rest)
-        desc = ctx.decomposition.descendants(c)
-        child = _subgraph_at(ctx.graph, desc, (a, b))
+    for tag, inner in children:
+        child = _subgraph_at(ctx.graph, inner, rim)
         try:
-            ok = ctx.ask(child, Predicate("ab-outer", a=a, b=b,
-                                          geometric=True))
+            ok = ctx.ask(child, pred)
         except CapExceeded:
-            ctx.log.append({"rule": "II", "action": "skip-child", "child": c,
+            ctx.log.append({"rule": rule, "action": "skip-child", **tag,
                             "reason": "oracle cap exceeded"})
             surviving.append(child.m)
             continue
         if ok:
-            drop |= desc
-            ctx.log.append({"rule": "II", "action": "delete", "child": c,
-                            "vertices": sorted(desc), "node": v,
-                            "pair": [a, b], "oracle": True})
+            drop |= inner
+            ctx.log.append({"rule": rule, "action": "delete", **tag,
+                            "vertices": sorted(inner), **where,
+                            "oracle": True})
         else:
             surviving.append(child.m)
     _delete(ctx, drop)
     if surviving:
         m = max(surviving)
-        limit = ctx.thresholds.rule2_reject_at(m)
+        limit = reject_at(m)
         if len(surviving) >= limit:
-            ctx.log.append({"rule": "II", "action": "reject", "node": v,
-                            "pair": [a, b], "survivors": len(surviving),
-                            "m": m, "threshold": limit})
+            ctx.log.append({"rule": rule, "action": "reject", **where,
+                            "survivors": len(surviving), "m": m,
+                            "threshold": limit})
             return "rejected"
     return "mutated" if drop else "noop"
-
-
-def rules_apply_below(ctx: TDContext, v: int) -> bool:
-    """Whether Rule I or Rule II would fire at a proper descendant of v."""
-    rule1 = ctx.thresholds.rule1_at(ctx.d)
-    baseline = ctx.thresholds.rule2_baseline_at(ctx.d)
-    for u in ctx.decomposition.descendants(v) - {v}:
-        groups = _children_by_attachment(ctx, u).items()
-        if any(len(x) >= 3 and len(cs) >= rule1 for x, cs in groups):
-            return True
-        if any(len(x) == 2 and len(cs) > baseline
-               and ctx.blocks().share_block(*x) for x, cs in groups):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -392,35 +427,12 @@ def apply_rule3(ctx: TDContext, v: int) -> str:
     forest = ctx.blocks()
     if v not in forest.child_blocks:
         return "noop"
-    surviving = []
-    drop: set[int] = set()
-    for bi in sorted(forest.child_blocks[v],
-                     key=lambda i: sorted(forest.blocks[i])):
-        below = _branch(forest, v, bi) - {v}
-        child = _subgraph_at(ctx.graph, below, (v,))
-        try:
-            ok = ctx.ask(child, Predicate("a-outer", a=v, geometric=True))
-        except CapExceeded:
-            ctx.log.append({"rule": "III", "action": "skip-child",
-                            "cut": v, "reason": "oracle cap exceeded"})
-            surviving.append(child.m)
-            continue
-        if ok:
-            drop |= below
-            ctx.log.append({"rule": "III", "action": "delete", "cut": v,
-                            "vertices": sorted(below), "oracle": True})
-        else:
-            surviving.append(child.m)
-    _delete(ctx, drop)
-    if surviving:
-        m = max(surviving)
-        limit = ctx.thresholds.rule3_reject_at(m)
-        if len(surviving) >= limit:
-            ctx.log.append({"rule": "III", "action": "reject", "cut": v,
-                            "survivors": len(surviving), "m": m,
-                            "threshold": limit})
-            return "rejected"
-    return "mutated" if drop else "noop"
+    tested = (({"cut": v}, _branch(forest, v, bi) - {v})
+              for bi in sorted(forest.child_blocks[v],
+                               key=lambda i: sorted(forest.blocks[i])))
+    return _filter_children(ctx, "III", {"cut": v},
+                            Predicate("a-outer", a=v, geometric=True), (v,),
+                            tested, ctx.thresholds.rule3_reject_at)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +442,7 @@ def apply_rule3(ctx: TDContext, v: int) -> str:
 def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = None,
                  overrides: Optional[Thresholds] = None,
                  oracle: Optional[Callable] = None,
-                 oracle_cap: int = decider.DEFAULT_EDGE_CAP,
-                 td_cap: int = 20) -> PipelineOutcome:
+                 oracle_cap: int = decider.DEFAULT_EDGE_CAP) -> PipelineOutcome:
     """Decide geometric 1-planarity via Rules I-III plus a final brute-force
     decision; components are processed independently.  Returns a reduction
     instead of a decision when a cap is exceeded."""
@@ -448,19 +459,18 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
                     {v: (p if p in comp else -1)
                      for v, p in decomposition.parent.items() if v in comp})
             partials.append(run_pipeline(g.induced_subgraph(comp), sub_dec,
-                                         overrides, oracle, oracle_cap,
-                                         td_cap))
+                                         overrides, oracle, oracle_cap))
         return _combine(g, partials)
 
     if not g.vertices:
-        return PipelineOutcome("decided", True, g, [], 0, [])
+        return PipelineOutcome("decided", True, g, 0, [])
 
     if decomposition is None:
         try:
-            decomposition = treedepth_decomposition(g, cap=td_cap)
+            decomposition = treedepth_decomposition(g)
         except GraphError:
-            return PipelineOutcome("reduced", None, g, [],
-                                   0, [{"action": "no-decomposition"}])
+            return PipelineOutcome("reduced", None, g, 0,
+                                   [{"action": "no-decomposition"}])
     decomposition = normalize_decomposition(g, decomposition)
 
     ctx = TDContext(g, decomposition, decomposition.depth, thresholds,
@@ -472,11 +482,10 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
         if v not in ctx.decomposition.parent:
             continue  # removed by an earlier deletion
         if apply_rule1(ctx, v) is not None:
-            return _rejected(ctx)
+            return _outcome(ctx, "rejected", False)
         for a, b in _rule2_pairs(ctx, v):
-            if (ctx.blocks().share_block(a, b)
-                    and apply_rule2(ctx, v, a, b) == "rejected"):
-                return _rejected(ctx)
+            if apply_rule2(ctx, v, a, b) == "rejected":
+                return _outcome(ctx, "rejected", False)
 
     # Phase II: Rule III bottom-up over the block-cut trees
     processed: set[int] = set()
@@ -488,38 +497,32 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
         v = max(todo, key=lambda c: (depth[c], -c))
         processed.add(v)
         if apply_rule3(ctx, v) == "rejected":
-            return _rejected(ctx)
+            return _outcome(ctx, "rejected", False)
 
     # final decision on the reduced instance
     try:
         answer = ctx.ask(ctx.graph, Predicate("plain", geometric=True))
     except CapExceeded:
-        return PipelineOutcome("reduced", None, ctx.graph, _deletions(ctx),
-                               ctx.oracle_calls, ctx.log)
-    return PipelineOutcome("decided", answer, ctx.graph,
-                           _deletions(ctx), ctx.oracle_calls, ctx.log)
+        return _outcome(ctx, "reduced", None)
+    return _outcome(ctx, "decided", answer)
 
 
-def _deletions(ctx: TDContext) -> list:
-    return [ev for ev in ctx.log if ev.get("action") == "delete"]
-
-
-def _rejected(ctx: TDContext) -> PipelineOutcome:
-    return PipelineOutcome("rejected", False, ctx.graph, _deletions(ctx),
-                           ctx.oracle_calls, ctx.log)
+def _outcome(ctx: TDContext, result: str, answer: Optional[bool]
+             ) -> PipelineOutcome:
+    return PipelineOutcome(result, answer, ctx.graph, ctx.oracle_calls,
+                           ctx.log)
 
 
 def _combine(g: Graph, partials: list[PipelineOutcome]) -> PipelineOutcome:
-    deletions = [d for p in partials for d in p.deletions]
     calls = sum(p.oracle_calls for p in partials)
     log = [ev for p in partials for ev in p.log]
     if any(p.rejected for p in partials):
-        return PipelineOutcome("rejected", False, g, deletions, calls, log)
+        return PipelineOutcome("rejected", False, g, calls, log)
     if any(p.result == "reduced" for p in partials):
         keep = frozenset(v for p in partials for v in p.graph.vertices)
         return PipelineOutcome("reduced", None, g.induced_subgraph(keep),
-                               deletions, calls, log)
+                               calls, log)
     answer = all(p.answer for p in partials)
     keep = frozenset(v for p in partials for v in p.graph.vertices)
     return PipelineOutcome("decided", answer, g.induced_subgraph(keep),
-                           deletions, calls, log)
+                           calls, log)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from oneplanar.decider import (
     CapExceeded,
     Predicate,
+    _accepted_outer,
+    _system_iter,
     canonical_key,
     decide,
     density_excludes,
@@ -17,13 +20,16 @@ from oneplanar.embedding import validate_embedding
 from oneplanar.graph import Graph, GraphError
 from oneplanar.straightening import is_straightenable
 
+import rules_oracle as oracle
 from conftest import (
+    complete_bipartite,
     complete_graph,
     count_independent_edge_pairs,
     cycle_graph,
     path_graph,
     random_connected_graph,
     theta_graph,
+    wheel_graph,
 )
 
 
@@ -260,3 +266,35 @@ def test_canonical_key_isomorphism_invariant():
     g2 = Graph.build([(7, 5), (5, 9), (9, 4)])
     assert canonical_key(g1, (0,)) == canonical_key(g2, (7,))
     assert canonical_key(g1, (0,)) != canonical_key(g2, (9,))
+
+
+def test_accepted_outer_matches_the_two_branch_loop(rng):
+    """The one acceptance test picks the outer face the old topological and
+    geometric branches picked, on every rotation system of the graphs
+    (crossing counts capped where the enumeration grows), under every
+    variant and anchor choice."""
+    graphs = [(complete_graph(4), 6), (complete_bipartite(3, 3), 2),
+              (wheel_graph(5), 1), (complete_graph(5), 1)]
+    graphs += [(random_connected_graph(rng, rng.randint(4, 6),
+                                       rng.randint(0, 4)), 1)
+               for _ in range(6)]
+    picked = set()
+    for g, most in graphs:
+        vs = sorted(g.vertices)
+        preds = [Predicate("plain")]
+        preds += [Predicate("a-outer", a=a) for a in vs]
+        preds += [Predicate(variant, a=a, b=b)
+                  for variant in ("ab-outer", "ab-shared")
+                  for a, b in itertools.combinations(vs, 2)]
+        for assignment in enumerate_crossing_sets(g):
+            if len(assignment.pairs) > most:
+                break
+            for emb in _system_iter(g, assignment):
+                for pred in preds:
+                    for geometric in (False, True):
+                        p = dataclasses.replace(pred, geometric=geometric)
+                        want = oracle.accepted_outer(emb, p)
+                        assert _accepted_outer(emb, p) == want
+                        picked.add((geometric, want is None))
+    assert picked == {(False, False), (False, True), (True, False),
+                      (True, True)}

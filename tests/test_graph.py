@@ -20,6 +20,7 @@ from oneplanar.graph import (
     treedepth_decomposition,
 )
 
+import rules_oracle as oracle
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -165,6 +166,50 @@ def test_depth_of_deep_chain_listed_child_first():
 def test_levels_reject_a_cyclic_parent_map():
     with pytest.raises(GraphError):
         TreedepthDecomposition({0: 1, 1: 0, 2: -1}).depth
+
+
+def test_validate_rejects_a_cyclic_parent_map_without_edges():
+    t = TreedepthDecomposition({0: 1, 1: 0, 2: -1})
+    with pytest.raises(GraphError, match="cycle"):
+        t.validate(Graph(frozenset({0, 1, 2}), {}))
+
+
+def random_forest_child_first(rng, n: int) -> TreedepthDecomposition:
+    """A random rooted forest on 0..n-1 whose parent map lists every vertex
+    before its parent."""
+    order = rng.sample(range(n), n)
+    parent = {v: (rng.choice(order[:i]) if i and rng.random() < 0.85
+                  else -1) for i, v in enumerate(order)}
+    return TreedepthDecomposition({v: parent[v] for v in reversed(order)})
+
+
+def test_spans_match_the_ancestor_walk(rng):
+    accepted = set()
+    for _ in range(60):
+        n = rng.randint(1, 14)
+        t = random_forest_child_first(rng, n)
+        for v in t.parent:
+            assert t.descendants(v) == oracle.descendants(t, v)
+            start, end = t.spans[v]
+            for u in t.parent:
+                assert ((v in oracle.ancestors(t, u))
+                        == (start <= t.spans[u][0] < end))
+        # validate accepts and rejects with the walk, message included
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph.build(rng.sample(pairs, min(len(pairs), rng.randint(0, 6))),
+                        vertices=range(n))
+        want = got = None
+        try:
+            oracle.validate(t, g)
+        except GraphError as err:
+            want = str(err)
+        try:
+            t.validate(g)
+        except GraphError as err:
+            got = str(err)
+        assert got == want
+        accepted.add(got is None)
+    assert accepted == {True, False}
 
 
 def test_treedepth_budget_and_cap():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from oneplanar import kernel
 from oneplanar.decider import Predicate, decide
 from oneplanar.geometry import validate_geometric_1planar
 from oneplanar.graph import Graph, GraphError, feedback_edge_set, subdivide_all_edges
@@ -14,6 +17,7 @@ from oneplanar.kernel import (
 )
 
 from conftest import cycle_graph, random_connected_graph, theta_graph
+from test_acceptance import _random_path_system
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +193,28 @@ def test_certificate_disjoint_length2_paths():
 def test_certificate_precondition():
     with pytest.raises(GraphError):
         convex_certificate(theta_graph((1, 2, 9)))  # shortest path too short
+
+
+def test_layout_classifies_each_guide_pair_once(monkeypatch):
+    """One `segment_intersection` call per unordered pair of guide chords;
+    both crossing parameters come from its one crossing point."""
+    calls = pairs = 0
+    real_intersection, real_layout = kernel.segment_intersection, kernel._layout
+
+    def counting_intersection(*args):
+        nonlocal calls
+        calls += 1
+        return real_intersection(*args)
+
+    def counting_layout(dec, open_idx, *rest):
+        nonlocal pairs
+        pairs += len(open_idx) * (len(open_idx) - 1) // 2
+        return real_layout(dec, open_idx, *rest)
+
+    monkeypatch.setattr(kernel, "segment_intersection", counting_intersection)
+    monkeypatch.setattr(kernel, "_layout", counting_layout)
+    rng = random.Random(10)
+    for _ in range(12):
+        g = _random_path_system(rng)
+        assert validate_geometric_1planar(convex_certificate(g), g).ok
+    assert pairs > 0 and calls <= pairs

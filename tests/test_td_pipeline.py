@@ -3,7 +3,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import random
+import zlib
 from types import SimpleNamespace
 
 import pytest
@@ -17,11 +19,14 @@ from oneplanar.td_pipeline import (
     apply_rule1,
     apply_rule2,
     apply_rule3,
+    _rule2_pairs,
     normalize_decomposition,
     parse_decomposition,
+    rules_apply_below,
     run_pipeline,
 )
 
+import rules_oracle as oracle
 from conftest import complete_bipartite, complete_graph, random_connected_graph
 
 
@@ -297,6 +302,106 @@ def test_attachment_cache_matches_definition_after_each_mutation(
             oracle=yes_oracle)
         rules.update(ev["rule"] for ev in out.deletions)
     assert rules == {"II", "III"}
+
+
+def hashed_oracle(g, pred, cap=None, memo=None, want_witness=False):
+    """A deterministic mix of yes and no answers."""
+    key = repr((sorted(g.edges.values()), pred.variant, pred.a, pred.b))
+    return SimpleNamespace(answer=zlib.crc32(key.encode()) % 3 != 0)
+
+
+def dfs_decomposition(rng, g: Graph) -> TreedepthDecomposition:
+    """The tree of a randomized depth-first search: every edge joins an
+    ancestor and a descendant, so it is a treedepth decomposition."""
+    parent = {}
+
+    def visit(v, p):
+        parent[v] = p
+        nbrs = sorted(g.neighbors(v))
+        rng.shuffle(nbrs)
+        for w in nbrs:
+            if w not in parent:
+                visit(w, v)
+
+    visit(rng.choice(sorted(g.vertices)), -1)
+    return TreedepthDecomposition(parent)
+
+
+def rule_test_instances(rng, count: int):
+    """Seeded graphs with many children on two or three attachment vertices
+    (K2,N and K3,N plus random edges) or none (random graphs), under random
+    decompositions and thresholds."""
+    for _ in range(count):
+        if rng.random() < 0.4:
+            g = random_connected_graph(rng, rng.randint(3, 10),
+                                       rng.randint(0, 5))
+        else:
+            k = rng.choice((2, 3))
+            base = complete_bipartite(k, rng.randint(3, 8))
+            extra = [tuple(rng.sample(sorted(base.vertices), 2))
+                     for _ in range(rng.randint(0, 3))]
+            g = Graph.build(list(base.edges.values()) + extra)
+        dec = normalize_decomposition(g, dfs_decomposition(rng, g))
+        yield g, dec, Thresholds(rule1=rng.choice((None, 1, 2, 3)),
+                                 rule2_baseline=rng.randint(0, 2),
+                                 rule2_reject=rng.choice((None, 2, 3)))
+
+
+def assert_rule_tests_match(ctx, seen):
+    for u in list(ctx.decomposition.parent):
+        below = rules_apply_below(ctx, u)
+        assert below == oracle.rules_apply_below(ctx, u)
+        pairs = list(_rule2_pairs(ctx, u))
+        assert pairs == list(oracle.phase1_pairs(ctx, u))
+        mark = len(ctx.log)
+        fired = apply_rule1(ctx, u)
+        assert fired == oracle.apply_rule1(ctx, u)
+        del ctx.log[mark:]
+        seen.update({("below", below), ("pairs", bool(pairs)),
+                     ("rule1", fired is not None)})
+
+
+def test_rule_tests_match_old_code(rng):
+    """Rule I, the Rule II pairs and `rules_apply_below` agree with the old
+    code at every node before Phase I and after each Rule II call; the
+    pairs are drawn in step with the old Phase I loop, one Rule II call
+    between draws, so the block test sees the same deletions."""
+    seen = set()
+    for g, dec, thresholds in rule_test_instances(rng, 300):
+        ctx = TDContext(g, dec, dec.depth, thresholds, hashed_oracle, 11)
+        twin = TDContext(g, dec, dec.depth, thresholds, hashed_oracle, 11)
+        assert_rule_tests_match(ctx, seen)
+        levels = dec.levels
+        for v in sorted(levels, key=lambda u: (-levels[u], u)):
+            if v not in ctx.decomposition.parent:
+                continue
+            for got, want in itertools.zip_longest(
+                    _rule2_pairs(ctx, v), oracle.phase1_pairs(twin, v)):
+                assert got == want
+                seen.add(("rule2", apply_rule2(ctx, v, *got)))
+                apply_rule2(twin, v, *want)
+                assert_rule_tests_match(ctx, seen)
+        assert ctx.log == twin.log
+    assert seen >= {("below", True), ("below", False), ("pairs", True),
+                    ("pairs", False), ("rule1", True), ("rule1", False),
+                    ("rule2", "mutated"), ("rule2", "skipped"),
+                    ("rule2", "rejected")}
+
+
+def test_rule_two_block_test_sees_the_deletions_before_it():
+    """At node 2, the pairs {0, 1} and {0, 2} both have one child and lie
+    on the 5-cycle 0-3-1-2-4; deleting child 3 at the first pair cuts the
+    cycle, so the second pair is no longer drawn, as in the old loop."""
+    g = Graph.build([(3, 0), (3, 1), (4, 0), (4, 2), (1, 2)])
+    dec = TreedepthDecomposition({0: -1, 1: 0, 2: 1, 3: 2, 4: 2})
+    ctx = TDContext(g, dec, dec.depth, Thresholds(rule2_baseline=0),
+                    yes_oracle, 11)
+    assert oracle.rule2_pairs(ctx, 2) == [(0, 1), (0, 2)]
+    drawn = []
+    for a, b in _rule2_pairs(ctx, 2):
+        drawn.append((a, b))
+        assert apply_rule2(ctx, 2, a, b) == "mutated"
+    assert drawn == [(0, 1)] and ctx.graph.vertices == {0, 1, 2, 4}
 
 
 def test_block_cut_tree_built_once_per_graph_version(monkeypatch):
