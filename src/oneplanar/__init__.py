@@ -42,6 +42,7 @@ from .straightening import (
 )
 from .decider import (
     CapExceeded,
+    DecideStats,
     Predicate,
     Verdict,
     decide,

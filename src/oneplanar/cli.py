@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -115,7 +116,8 @@ def _cmd_decide(args) -> int:
         _write(args.witness, embedding_to_json(verdict.witness) + "\n")
     _report(args.report, {"answer": verdict.answer,
                           "embeddings_enumerated":
-                          verdict.embeddings_enumerated})
+                          verdict.embeddings_enumerated,
+                          "stats": dataclasses.asdict(verdict.stats)})
     return EXIT_OK
 
 

@@ -1,11 +1,24 @@
 """Exhaustive deciders for k-planarity and geometric 1-planarity on small
-graphs, by enumerating crossing assignments, rotation systems, and outer
-faces.
+graphs, by enumerating crossing assignments in order of increasing size.
 
-Geometric 1-planarity is decided combinatorially: a graph is a yes-instance
-iff some valid 1-planar embedding together with an outer-face choice is free
-of B- and W-configurations.  No coordinates are produced.  For k >= 2 only
-the plain (topological) decider is available; no straightening
+Every assignment whose size passes the Euler bound gets one left-right
+planarity test of its planarization (``oneplanar.planarity``); only a
+geometric search skips it on planarizations of fewer than 9 segments,
+which are all planar.
+
+* A topological predicate is answered by the first assignment that passes.
+  ab-shared and ab-outer are tested with an apex vertex joined to a and b
+  (a drawing can put any face outside, so both ask for a face holding a
+  and b); a-outer is plain 1-planarity.  The witness is the test's
+  rotation system, apex removed, with an outer face picked by
+  ``_accepted_outer``.
+* A geometric predicate enumerates every genus-0 rotation system and every
+  outer face of the assignments that pass, because Thomassen's B/W check
+  depends on the whole embedding: a graph is a yes-instance iff some valid
+  1-planar embedding together with an outer-face choice is free of B- and
+  W-configurations.  No coordinates are produced.
+
+For k >= 2 only the topological deciders are available; no straightening
 characterization exists there.
 """
 
@@ -23,6 +36,7 @@ from .embedding import (
     validate_embedding,
 )
 from .graph import Graph, GraphError
+from .planarity import planar_rotation
 from .straightening import candidate_configurations
 
 DEFAULT_EDGE_CAP = 11
@@ -65,10 +79,28 @@ class Predicate:
 
 
 @dataclass
+class DecideStats:
+    """The work of one ``decide`` call, summed over components."""
+
+    assignments: int = 0  # crossing assignments generated
+    assignments_euler_skipped: int = 0  # of those, below the Euler start
+    planarity_tests: int = 0
+    planarity_failed: int = 0
+    rotation_systems: int = 0  # tried by the geometric search
+    valid_embeddings: int = 0  # rotation systems that passed, or the test's
+    outer_faces_checked: int = 0
+    memo_hits: int = 0
+
+
+@dataclass
 class Verdict:
     answer: bool
     witness: Optional[PlaneEmbedding]
-    embeddings_enumerated: int
+    stats: DecideStats
+
+    @property
+    def embeddings_enumerated(self) -> int:
+        return self.stats.valid_embeddings
 
 
 @dataclass(frozen=True)
@@ -167,13 +199,16 @@ def enumerate_crossing_sets(g: Graph, k: int = 1) -> Iterator[CrossingAssignment
 # Rotation-system enumeration
 # ---------------------------------------------------------------------------
 
-def _system_iter(g: Graph, assignment: CrossingAssignment
+def _system_iter(g: Graph, assignment: CrossingAssignment,
+                 stats: Optional[DecideStats] = None
                  ) -> Iterator[PlaneEmbedding]:
     """Yield one PlaneEmbedding per genus-0 rotation system with proper
     (alternating) crossings, up to reflection; the outer dart is a
-    placeholder."""
+    placeholder.  Each rotation system tried is counted in ``stats``."""
     if not g.edges:
         return
+    if stats is None:
+        stats = DecideStats()
     skeleton = unrotated_embedding(g, assignment.pairs, assignment.edge_order)
     plan = skeleton.planarization
     node_darts = plan.node_darts
@@ -225,6 +260,7 @@ def _system_iter(g: Graph, assignment: CrossingAssignment
         return
     succ = [0] * nd
     for combo in itertools.product(*cand_lists):
+        stats.rotation_systems += 1
         for rot in combo:
             prev = rot[-1]
             for d in rot:
@@ -245,6 +281,38 @@ def _system_iter(g: Graph, assignment: CrossingAssignment
             continue
         yield dataclasses.replace(skeleton, rotation=dict(zip(nodes, combo)),
                                   outer=0)
+
+
+def _test_rotation(skeleton: PlaneEmbedding, apex: tuple[int, ...] = ()
+                   ) -> Optional[dict[int, tuple[int, ...]]]:
+    """The rotation, in int darts, of a planar embedding of the skeleton's
+    planarization, or None when it has none.  With ``apex``, the planarity
+    test runs with one more vertex joined to those nodes, and the rotation
+    leaves it out.  Parallel segments (k >= 2) are subdivided for the test."""
+    plan = skeleton.planarization
+    nodes = sorted(plan.node_darts)
+    index = {v: i for i, v in enumerate(nodes)}
+    count = len(nodes)
+    edges: list[tuple[int, int]] = []
+    dart_at: dict[tuple[int, int], int] = {}  # (node, neighbour) -> dart
+    for s, (a, b) in enumerate(plan.segments):
+        ia, ib = index[a], index[b]
+        if (ia, ib) in dart_at:
+            edges += [(ia, count), (count, ib)]
+            ia_to, ib_to = (ia, count), (ib, count)
+            count += 1
+        else:
+            edges.append((ia, ib))
+            ia_to, ib_to = (ia, ib), (ib, ia)
+        dart_at[ia_to], dart_at[ib_to] = 2 * s, 2 * s + 1
+    if apex:
+        edges += [(count, index[v]) for v in apex]
+        count += 1
+    rotation = planar_rotation(count, edges)
+    if rotation is None:
+        return None
+    return {v: tuple(dart_at[i, w] for w in rotation[i] if (i, w) in dart_at)
+            for i, v in enumerate(nodes)}
 
 
 def enumerate_embeddings(g: Graph, crossings, k: int = 1,
@@ -307,13 +375,15 @@ def canonical_key(g: Graph, anchors: tuple[int, ...] = ()):
 # decide
 # ---------------------------------------------------------------------------
 
-def _accepted_outer(emb: PlaneEmbedding, pred: Predicate) -> Optional[int]:
+def _accepted_outer(emb: PlaneEmbedding, pred: Predicate,
+                    stats: Optional[DecideStats] = None) -> Optional[int]:
     """The first face of emb that may be outer under pred, or None.
 
     ab-shared needs some face holding both anchors and then accepts any
     outer face; a-outer and ab-outer need the anchors on the outer face.
     A geometric predicate also needs the outer face to leave no B/W
-    configuration."""
+    configuration.  Each face tried as the outer one is counted in
+    ``stats``."""
     plan = emb.planarization
     fverts = [frozenset(plan.origin(d) for d in cyc) for cyc in plan.faces]
     if pred.variant == "ab-shared":
@@ -324,6 +394,8 @@ def _accepted_outer(emb: PlaneEmbedding, pred: Predicate) -> Optional[int]:
         outer_anchors = pred.anchors
     cands = candidate_configurations(emb) if pred.geometric else []
     for f, fv in enumerate(fverts):
+        if stats is not None:
+            stats.outer_faces_checked += 1
         if (all(x in fv for x in outer_anchors)
                 and not any(c.is_configuration(f) for c in cands)):
             return f
@@ -331,19 +403,49 @@ def _accepted_outer(emb: PlaneEmbedding, pred: Predicate) -> Optional[int]:
 
 
 def _decide_connected(g: Graph, pred: Predicate, cap: int,
-                      want_witness: bool) -> Verdict:
+                      want_witness: bool, stats: DecideStats) -> Verdict:
+    """Decide pred on a connected graph, adding the work done to ``stats``.
+
+    For k = 1 and n >= 3, assignments below ``c = m - 3n + 6`` crossings
+    are skipped: their planarization is simple, with n + c vertices and
+    m + 2c edges, so Euler's bound m + 2c <= 3(n + c) - 6 fails.
+
+    A topological predicate takes the first assignment whose planarization
+    passes the planarity test, and the test's embedding is the witness.
+    Its crossings alternate without a special case: were some dummy's two
+    edges to touch instead of cross, the dummy could be split in two and
+    the edges uncrossed there, a planar planarization of an assignment with
+    one crossing less, which was tried before and failed."""
     if density_excludes(g, pred.geometric) and pred.k == 1:
-        return Verdict(False, None, 0)
+        return Verdict(False, None, stats)
     if g.m > cap:
         raise CapExceeded(f"{g.m} edges exceeds decider cap {cap}")
     if g.m == 0:
-        return Verdict(True, None, 0)
+        return Verdict(True, None, stats)
 
-    count = 0
+    start = g.m - 3 * g.n + 6 if pred.k == 1 and g.n >= 3 else 0
+    apex = (pred.anchors if pred.variant in ("ab-shared", "ab-outer")
+            and not pred.geometric else ())
     for assignment in enumerate_crossing_sets(g, pred.k):
-        for emb in _system_iter(g, assignment):
-            count += 1
-            outer = _accepted_outer(emb, pred)
+        stats.assignments += 1
+        if len(assignment.pairs) < start:
+            stats.assignments_euler_skipped += 1
+            continue
+        # Fewer than 9 segments are planar (K3,3 has 9), and the geometric
+        # search needs no rotation from the test.
+        if not pred.geometric or g.m + 2 * len(assignment.pairs) >= 9:
+            skeleton = unrotated_embedding(g, assignment.pairs,
+                                           assignment.edge_order)
+            stats.planarity_tests += 1
+            rotation = _test_rotation(skeleton, apex)
+            if rotation is None:
+                stats.planarity_failed += 1
+                continue
+        embs = (_system_iter(g, assignment, stats) if pred.geometric else
+                [dataclasses.replace(skeleton, rotation=rotation, outer=0)])
+        for emb in embs:
+            stats.valid_embeddings += 1
+            outer = _accepted_outer(emb, pred, stats)
             if outer is None:
                 continue
             witness = None
@@ -351,8 +453,8 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
                 witness = dataclasses.replace(
                     emb, outer=emb.planarization.faces[outer][0])
                 validate_embedding(witness, k=pred.k)
-            return Verdict(True, witness, count)
-    return Verdict(False, None, count)
+            return Verdict(True, witness, stats)
+    return Verdict(False, None, stats)
 
 
 def _merge_witnesses(parts: list[PlaneEmbedding], g: Graph,
@@ -382,7 +484,7 @@ def _merge_witnesses(parts: list[PlaneEmbedding], g: Graph,
 
 def decide(g: Graph, pred: Predicate, cap: int = DEFAULT_EDGE_CAP,
            memo: Optional[dict] = None, want_witness: bool = True) -> Verdict:
-    """Decide the predicate by exhaustive enumeration, per component.
+    """Decide the predicate by exhaustive search, per component.
 
     Disconnected graphs combine componentwise: a drawing places components
     side by side, so anchored predicates reduce to outer-variants on the
@@ -397,24 +499,22 @@ def decide(g: Graph, pred: Predicate, cap: int = DEFAULT_EDGE_CAP,
         key = (canonical_key(g, pred.anchors), pred.variant, pred.geometric,
                pred.k, cap)
         if key in memo and not want_witness:  # a hit has no witness to give
-            return Verdict(memo[key], None, 0)
+            return Verdict(memo[key], None, DecideStats(memo_hits=1))
         verdict = decide(g, pred, cap=cap, memo=None,
                          want_witness=want_witness)
         memo[key] = verdict.answer
         return verdict
 
+    stats = DecideStats()
     comps = g.components()
     if len(comps) <= 1:
-        return _decide_connected(g, pred, cap, want_witness)
+        return _decide_connected(g, pred, cap, want_witness, stats)
 
-    total = 0
     sub_witnesses: list[Optional[PlaneEmbedding]] = []
 
     def run(comp: frozenset[int], sub_pred: Predicate) -> bool:
-        nonlocal total
         got = _decide_connected(g.induced_subgraph(comp), sub_pred, cap,
-                                want_witness)
-        total += got.embeddings_enumerated
+                                want_witness, stats)
         sub_witnesses.append(got.witness)
         return got.answer
 
@@ -447,4 +547,4 @@ def decide(g: Graph, pred: Predicate, cap: int = DEFAULT_EDGE_CAP,
     witness = None
     if answer and not pred.geometric and pred.variant == "plain":
         witness = _merge_witnesses(sub_witnesses, g, pred.k)
-    return Verdict(answer, witness, total)
+    return Verdict(answer, witness, stats)

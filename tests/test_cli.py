@@ -36,6 +36,24 @@ def test_decide_witness_revalidates(tmp_path, capsys):
     assert main(["check-embedding", "--in", witness]) == 0
 
 
+def test_decide_k6_plain_by_planarity_tests(tmp_path, capsys):
+    """K6 needs three crossings: the Euler start skips every smaller
+    assignment, and one planarity test per assignment replaces the rotation
+    search, so no rotation system is tried."""
+    infile = write_graph(tmp_path, "k6.edges", complete_graph(6))
+    witness, report = str(tmp_path / "w.json"), tmp_path / "r.json"
+    assert main(["decide", "--in", infile, "--cap", "16", "--witness", witness,
+                 "--report", str(report)]) == 0
+    assert capsys.readouterr().out.strip() == "YES"
+    assert main(["check-embedding", "--in", witness]) == 0
+    assert capsys.readouterr().out.startswith("OK")
+    stats = json.loads(report.read_text())["stats"]
+    assert stats == {"assignments": 1120, "assignments_euler_skipped": 811,
+                     "planarity_tests": 309, "planarity_failed": 308,
+                     "rotation_systems": 0, "valid_embeddings": 1,
+                     "outer_faces_checked": 1, "memo_hits": 0}
+
+
 def test_decide_cap_exit_code(tmp_path):
     infile = write_graph(tmp_path, "k6.edges", complete_graph(6))
     assert main(["decide", "--in", infile, "--cap", "11"]) == 3

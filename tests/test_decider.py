@@ -7,6 +7,7 @@ import pytest
 
 from oneplanar.decider import (
     CapExceeded,
+    DecideStats,
     Predicate,
     _accepted_outer,
     _system_iter,
@@ -230,6 +231,45 @@ def test_memo_hit_keeps_requested_witness():
         validate_embedding(v.witness)
     assert decide(g, Predicate("plain", geometric=True), memo=memo,
                   want_witness=False).witness is None  # a real hit
+
+
+def _stats(assignments, skipped, tests, failed, systems, valid, outer,
+           hits=0) -> DecideStats:
+    return DecideStats(assignments, skipped, tests, failed, systems, valid,
+                       outer, hits)
+
+
+def test_decide_stats_record():
+    k5, k34 = complete_graph(5), complete_bipartite(3, 4)
+    # K5 (m=10, n=5) starts at one crossing; its first assignment is planar
+    assert decide(k5, Predicate()).stats == _stats(2, 1, 1, 0, 0, 1, 1)
+    assert decide(k5, Predicate(geometric=True)).stats == \
+        _stats(2, 1, 1, 0, 4086, 1, 5)
+    # K3,4 needs two crossings: 44 of its 45 assignments fail the test
+    assert decide(k34, Predicate(), cap=12).stats == \
+        _stats(45, 0, 45, 44, 0, 1, 1)
+    v = decide(k34, Predicate(geometric=True), cap=12)
+    assert v.stats == _stats(45, 0, 45, 44, 2894, 1, 4)
+    assert v.embeddings_enumerated == 1
+    # opposite octahedron vertices share no face of its plane embedding: with
+    # the apex on them, every assignment below two crossings fails the test
+    octahedron = Graph.build([(u, v) for u in range(6) for v in range(u + 1, 6)
+                              if u // 2 != v // 2])
+    assert decide(octahedron, Predicate("ab-outer", a=0, b=1),
+                  cap=12).stats == _stats(63, 0, 63, 62, 0, 1, 2)
+    # components are summed: K5 as above, K3,3 after one failed test
+    two = Graph.build([*k5.edges.values(),
+                       *((u + 5, v + 5) for u, v in
+                         complete_bipartite(3, 3).edges.values())])
+    assert decide(two, Predicate()).stats == _stats(4, 1, 3, 1, 0, 2, 2)
+    # a memo hit is counted as a hit, not as zero work
+    memo: dict = {}
+    first = decide(k5, Predicate(geometric=True), memo=memo,
+                   want_witness=False)
+    assert first.stats == _stats(2, 1, 1, 0, 4086, 1, 5)
+    hit = decide(complete_graph(5), Predicate(geometric=True), memo=memo,
+                 want_witness=False)
+    assert hit.answer and hit.stats == _stats(0, 0, 0, 0, 0, 0, 0, hits=1)
 
 
 def test_rotation_enumeration_matches_known_planarity():

@@ -1,7 +1,13 @@
 """sha256 of ``embedding_to_json`` for embeddings built by the decider,
 ``restrict`` and ``reshorten``, recorded while ``PlaneEmbedding`` still
 stored encoded ``(edge, end, seg)`` darts: storing int darts must not change
-a byte of any output."""
+a byte of any output.
+
+The 13 topological ``decide/*`` entries (plain, ab-shared and k2 on K4, K5,
+K3,3 and W5, and 2K4) were re-recorded when the topological witness became
+the planarity test's embedding instead of the first rotation system in
+product order; every such witness must still validate.  The geometric
+entries still come from the rotation search and are unchanged."""
 
 from __future__ import annotations
 
@@ -11,7 +17,12 @@ import random
 import pytest
 
 from oneplanar.decider import Predicate, decide
-from oneplanar.embedding import embedding_to_json, restrict
+from oneplanar.embedding import (
+    embedding_from_json,
+    embedding_to_json,
+    restrict,
+    validate_embedding,
+)
 from oneplanar.graph import Graph
 from oneplanar.surgery import arc_system, reshorten, simplify
 
@@ -103,55 +114,55 @@ def digest(name: str) -> str:
 
 DIGESTS = {
     "decide/2K4/plain":
-        "1c357b3ee398d10ffc95e939db682c0d742033a8dfafd4e1822a63f5f8ee6f8d",
+        "fa70d6ed3b3498176f7fc464290689431c2376e70014c3b8ecc3ec20f8244f30",
     "decide/K3,3/a-outer-geo":
         "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
     "decide/K3,3/ab-outer-geo":
         "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
     "decide/K3,3/ab-shared":
-        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+        "8d39d3b1e2f4f4b02d74263ed6cec88803e46bdadb04f6949aff4c2543debc39",
     "decide/K3,3/geo":
         "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
     "decide/K3,3/k2":
-        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+        "8d39d3b1e2f4f4b02d74263ed6cec88803e46bdadb04f6949aff4c2543debc39",
     "decide/K3,3/plain":
-        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+        "8d39d3b1e2f4f4b02d74263ed6cec88803e46bdadb04f6949aff4c2543debc39",
     "decide/K4/a-outer-geo":
         "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
     "decide/K4/ab-outer-geo":
         "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
     "decide/K4/ab-shared":
-        "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
+        "a9a7a008cc5593f3d4897e52fd1e85225ac334ec1451f321c5ada8fff9481f22",
     "decide/K4/geo":
         "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
     "decide/K4/k2":
-        "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
+        "a9a7a008cc5593f3d4897e52fd1e85225ac334ec1451f321c5ada8fff9481f22",
     "decide/K4/plain":
-        "3aa4cb9eb3770c3eedc2ae9b31c96c469f77513f150a29b5aef5f4dd650410c6",
+        "a9a7a008cc5593f3d4897e52fd1e85225ac334ec1451f321c5ada8fff9481f22",
     "decide/K5/a-outer-geo":
         "2ae4c35dec0cac4b51b5826e1154a986b507e58f869ad8b1916dff6bef3a90de",
     "decide/K5/ab-outer-geo":
         "6428f371f32cb971bd87b9698aa40cbb45e05c647a24dd811fb63d4269c3e2db",
     "decide/K5/ab-shared":
-        "361d4f5dff2c94f0e1758cc4c394c35af820b3bf5ea2271c56b1ac49f5408b02",
+        "470164b28ac7212e7e7207a81b25abf7a9322bd5aa464544aa3f77c621f9753b",
     "decide/K5/geo":
         "2ae4c35dec0cac4b51b5826e1154a986b507e58f869ad8b1916dff6bef3a90de",
     "decide/K5/k2":
-        "361d4f5dff2c94f0e1758cc4c394c35af820b3bf5ea2271c56b1ac49f5408b02",
+        "470164b28ac7212e7e7207a81b25abf7a9322bd5aa464544aa3f77c621f9753b",
     "decide/K5/plain":
-        "361d4f5dff2c94f0e1758cc4c394c35af820b3bf5ea2271c56b1ac49f5408b02",
+        "470164b28ac7212e7e7207a81b25abf7a9322bd5aa464544aa3f77c621f9753b",
     "decide/W5/a-outer-geo":
         "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
     "decide/W5/ab-outer-geo":
         "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
     "decide/W5/ab-shared":
-        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+        "13bc4b840ad70c917ee391c42b7d646bd16b47f3fdbda4fb9c14aa2d51ca208c",
     "decide/W5/geo":
         "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
     "decide/W5/k2":
-        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+        "13bc4b840ad70c917ee391c42b7d646bd16b47f3fdbda4fb9c14aa2d51ca208c",
     "decide/W5/plain":
-        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+        "13bc4b840ad70c917ee391c42b7d646bd16b47f3fdbda4fb9c14aa2d51ca208c",
     "restrict/c3/0":
         "52735ceca67f0a6ed748439d16a5ae3b0d673edb283c77dd370db3ebceeda8e4",
     "restrict/c3/1":
@@ -250,6 +261,16 @@ DIGESTS = {
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_embedding_json_is_byte_identical(name):
     assert digest(name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in DIGESTS
+                                        if n.startswith("decide/")))
+def test_decide_witness_validates(name):
+    emb = CASES[name]()
+    k = 2 if name.endswith("/k2") else 1
+    validate_embedding(emb, k=k)
+    assert embedding_to_json(embedding_from_json(embedding_to_json(emb),
+                                                 k=k)) == embedding_to_json(emb)
 
 
 def test_every_case_has_a_digest():
