@@ -2,16 +2,15 @@
 graphs, by enumerating crossing assignments in order of increasing size.
 
 Every assignment whose size passes the Euler bound gets one left-right
-planarity test of its planarization (``oneplanar.planarity``); only a
-geometric search skips it on planarizations of fewer than 9 segments,
-which are all planar.
+planarity test of its planarization (``oneplanar.planarity``).  ab-shared
+and ab-outer run it with an apex vertex joined to a and b, since both need
+a face holding a and b (a drawing can put any face outside).  Only a
+geometric search skips the test, on planarizations of fewer than 9
+segments, the apex's path counted as one, which are all planar.
 
-* A topological predicate is answered by the first assignment that passes.
-  ab-shared and ab-outer are tested with an apex vertex joined to a and b
-  (a drawing can put any face outside, so both ask for a face holding a
-  and b); a-outer is plain 1-planarity.  The witness is the test's
-  rotation system, apex removed, with an outer face picked by
-  ``_accepted_outer``.
+* A topological predicate is answered by the first assignment that passes;
+  a-outer is plain 1-planarity.  The witness is the test's rotation
+  system, apex removed, with an outer face picked by ``_accepted_outer``.
 * A geometric predicate enumerates every genus-0 rotation system and every
   outer face of the assignments that pass, because Thomassen's B/W check
   depends on the whole embedding: a graph is a yes-instance iff some valid
@@ -424,16 +423,16 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
         return Verdict(True, None, stats)
 
     start = g.m - 3 * g.n + 6 if pred.k == 1 and g.n >= 3 else 0
-    apex = (pred.anchors if pred.variant in ("ab-shared", "ab-outer")
-            and not pred.geometric else ())
+    apex = pred.anchors if pred.variant in ("ab-shared", "ab-outer") else ()
     for assignment in enumerate_crossing_sets(g, pred.k):
         stats.assignments += 1
         if len(assignment.pairs) < start:
             stats.assignments_euler_skipped += 1
             continue
-        # Fewer than 9 segments are planar (K3,3 has 9), and the geometric
-        # search needs no rotation from the test.
-        if not pred.geometric or g.m + 2 * len(assignment.pairs) >= 9:
+        # Fewer than 9 segments, the apex's path ab counted as one, are
+        # planar (K3,3 has 9); the geometric search needs no rotation.
+        if (not pred.geometric
+                or g.m + 2 * len(assignment.pairs) + bool(apex) >= 9):
             skeleton = unrotated_embedding(g, assignment.pairs,
                                            assignment.edge_order)
             stats.planarity_tests += 1

@@ -267,15 +267,11 @@ class Degree2PathDecomposition:
 
 @dataclass(frozen=True)
 class BlockCutTree:
-    """Biconnected components plus cut vertices of a connected graph.
-
-    ``incidence`` lists (cut vertex, block index) pairs; the bipartite graph
-    they induce is the block-cut tree.
-    """
+    """Biconnected components plus cut vertices of a connected graph; a cut
+    vertex and the blocks holding it are adjacent in the block-cut tree."""
 
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
-    incidence: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -484,16 +480,14 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         raise GraphError("block_cut_tree requires a connected graph")
 
     if g.m == 0:  # single vertex
-        return BlockCutTree((frozenset(g.vertices),), frozenset(), ())
+        return BlockCutTree((frozenset(g.vertices),), frozenset())
 
     blocks = tuple(frozenset(x for e in blk for x in g.edges[e])
                    for blk in blocks_edges)
     # the start vertex is a cut vertex iff it got >= 2 DFS children
     if root_children > 1:
         cuts.add(start)
-    incidence = tuple(sorted((c, i) for i, b in enumerate(blocks)
-                             for c in b if c in cuts))
-    return BlockCutTree(blocks, frozenset(cuts), incidence)
+    return BlockCutTree(blocks, frozenset(cuts))
 
 
 def treedepth_decomposition(g: Graph, budget: Optional[int] = None,

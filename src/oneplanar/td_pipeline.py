@@ -10,6 +10,13 @@ Rule III rejects at m+2 surviving children (m = the largest child edge
 count).  Overrides exist so the deletion and rejection branches can be
 exercised at all on instances small enough for the brute-force oracle.
 
+`normalize_decomposition` makes the input decomposition its elimination
+tree, whose subtrees are connected, before the graph is split into
+components; each tree then spans one component.  Phase II visits the cut
+vertices of the block forest Phase I leaves once each, deepest first, then
+by label: Rule III at v deletes only blocks below v, whose cut vertices
+come earlier, and no other cut vertex changes its depth or cut status.
+
 Structure is derived once per mutation, not once per query.  `TDContext`
 caches it keyed on the identity of ``ctx.graph`` and ``ctx.decomposition``;
 both are immutable and every deletion assigns new ones, so any reassignment
@@ -50,7 +57,6 @@ from .graph import (
     GraphError,
     TreedepthDecomposition,
     block_cut_tree,
-    connected_components,
     parse_int_pairs,
     treedepth_decomposition,
 )
@@ -141,34 +147,32 @@ def parse_decomposition(text: str) -> TreedepthDecomposition:
 
 def normalize_decomposition(g: Graph, t: TreedepthDecomposition
                             ) -> TreedepthDecomposition:
-    """Make every child subtree induce a connected subgraph with at least
-    one neighbor among its ancestors; both moves never increase depth."""
+    """The elimination tree of t (Liu 1990): every subtree is connected, so
+    every child subtree has a neighbour in its parent.
+
+    One union-find pass, bottom-up over t: v becomes the parent of the top
+    of every set holding a visited neighbour, each a descendant of v in t.
+    Every set is connected and lies below its top in t, so ancestry only
+    shrinks and depth never grows.  No other tree does this: for a valid s
+    with connected subtrees and ancestry within t's, desc_s(v) is the
+    component C of v in g[desc_t(v)], as a path in C leaving desc_s(v)
+    would step to a proper ancestor of v in s, hence in t.  The split and
+    lift fixpoint this replaces only moved vertices up to ancestors and
+    stopped with every subtree connected (non-root ones with a neighbour
+    above), so wherever its output was valid, it was this tree."""
     t.validate(g)
-    parent = dict(t.parent)
-    changed = True
-    while changed:
-        changed = False
-        work = TreedepthDecomposition(dict(parent))
-        att = _attachment_sets(g, work)
-        for v in sorted(parent):
-            if parent[v] == -1:
+    parent = dict.fromkeys(t.parent, -1)  # the key order of t
+    top: dict[int, int] = {}  # union-find over the visited vertices
+    for v in reversed(t.preorder):
+        top[v] = v
+        for u in g.neighbors(v):
+            if u not in top:
                 continue
-            desc = work.descendants(v)
-            comps = connected_components(desc, g.neighbors)
-            if len(comps) > 1:
-                # split: components not holding v become separate children
-                for comp in comps:
-                    if v in comp:
-                        continue
-                    for r in [u for u in comp if parent[u] not in comp]:
-                        parent[r] = parent[v]
-                changed = True
-                break
-            if not att[v]:
-                # lift: the subtree has no neighbor among its ancestors
-                parent[v] = parent[parent[v]]
-                changed = True
-                break
+            while top[u] != u:  # path halving
+                top[u] = top[top[u]]
+                u = top[u]
+            if u != v:
+                parent[u] = top[u] = v
     return TreedepthDecomposition(parent)
 
 
@@ -448,6 +452,8 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
     instead of a decision when a cap is exceeded."""
     thresholds = overrides or Thresholds()
     oracle = oracle or decider.decide
+    if decomposition is not None:
+        decomposition = normalize_decomposition(g, decomposition)
 
     comps = g.components()
     if len(comps) > 1:
@@ -456,8 +462,8 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
             sub_dec = None
             if decomposition is not None:
                 sub_dec = TreedepthDecomposition(
-                    {v: (p if p in comp else -1)
-                     for v, p in decomposition.parent.items() if v in comp})
+                    {v: p for v, p in decomposition.parent.items()
+                     if v in comp})
             partials.append(run_pipeline(g.induced_subgraph(comp), sub_dec,
                                          overrides, oracle, oracle_cap))
         return _combine(g, partials)
@@ -471,7 +477,7 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
         except GraphError:
             return PipelineOutcome("reduced", None, g, 0,
                                    [{"action": "no-decomposition"}])
-    decomposition = normalize_decomposition(g, decomposition)
+        decomposition = normalize_decomposition(g, decomposition)
 
     ctx = TDContext(g, decomposition, decomposition.depth, thresholds,
                     oracle, oracle_cap)
@@ -487,15 +493,9 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
             if apply_rule2(ctx, v, a, b) == "rejected":
                 return _outcome(ctx, "rejected", False)
 
-    # Phase II: Rule III bottom-up over the block-cut trees
-    processed: set[int] = set()
-    while True:
-        depth = ctx.blocks().depth
-        todo = [c for c in depth if c not in processed]
-        if not todo:
-            break
-        v = max(todo, key=lambda c: (depth[c], -c))
-        processed.add(v)
+    # Phase II: Rule III bottom-up over the block-cut trees, in one order
+    depth = ctx.blocks().depth
+    for v in sorted(depth, key=lambda c: (-depth[c], c)):
         if apply_rule3(ctx, v) == "rejected":
             return _outcome(ctx, "rejected", False)
 

@@ -9,16 +9,31 @@
   the block filter of the old Phase I loop over that list, and the old
   descendant scan that restated both;
 * ``ancestors``, ``descendants`` and ``validate`` walk parent chains and
-  child lists instead of reading preorder spans.
+  child lists instead of reading preorder spans;
+* ``normalize_decomposition`` is the split and lift fixpoint that came
+  before the elimination tree, and ``run_pipeline`` the pipeline that
+  restricted the decomposition to each component before normalizing it and
+  re-picked the deepest unvisited cut vertex after every Rule III call.
+  The fixpoint rebuilds its decomposition after every move, and its split
+  re-parents every vertex of a component whose parent lies outside it,
+  which can make two adjacent vertices siblings.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from oneplanar.decider import Predicate
+from oneplanar import decider
+from oneplanar import td_pipeline as td
+from oneplanar.decider import CapExceeded, Predicate
 from oneplanar.embedding import PlaneEmbedding
-from oneplanar.graph import Graph, GraphError, TreedepthDecomposition
+from oneplanar.graph import (
+    Graph,
+    GraphError,
+    TreedepthDecomposition,
+    connected_components,
+    treedepth_decomposition,
+)
 from oneplanar.straightening import candidate_configurations
 
 
@@ -151,3 +166,105 @@ def validate(t: TreedepthDecomposition, g: Graph) -> None:
     for u, v in g.edges.values():
         if u not in ancestors(t, v) and v not in ancestors(t, u):
             raise GraphError(f"edge {u, v} violates ancestor closure")
+
+
+# ---------------------------------------------------------------------------
+# normalization and the pipeline
+# ---------------------------------------------------------------------------
+
+def normalize_decomposition(g: Graph, t: TreedepthDecomposition
+                            ) -> TreedepthDecomposition:
+    """Make every child subtree induce a connected subgraph with at least
+    one neighbor among its ancestors; both moves never increase depth."""
+    t.validate(g)
+    parent = dict(t.parent)
+    changed = True
+    while changed:
+        changed = False
+        work = TreedepthDecomposition(dict(parent))
+        att = td._attachment_sets(g, work)
+        for v in sorted(parent):
+            if parent[v] == -1:
+                continue
+            desc = work.descendants(v)
+            comps = connected_components(desc, g.neighbors)
+            if len(comps) > 1:
+                # split: components not holding v become separate children
+                for comp in comps:
+                    if v in comp:
+                        continue
+                    for r in [u for u in comp if parent[u] not in comp]:
+                        parent[r] = parent[v]
+                changed = True
+                break
+            if not att[v]:
+                # lift: the subtree has no neighbor among its ancestors
+                parent[v] = parent[parent[v]]
+                changed = True
+                break
+    return TreedepthDecomposition(parent)
+
+
+def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = None,
+                 overrides: Optional[td.Thresholds] = None,
+                 oracle: Optional[Callable] = None,
+                 oracle_cap: int = decider.DEFAULT_EDGE_CAP) -> td.PipelineOutcome:
+    thresholds = overrides or td.Thresholds()
+    oracle = oracle or decider.decide
+
+    comps = g.components()
+    if len(comps) > 1:
+        partials = []
+        for comp in comps:
+            sub_dec = None
+            if decomposition is not None:
+                sub_dec = TreedepthDecomposition(
+                    {v: (p if p in comp else -1)
+                     for v, p in decomposition.parent.items() if v in comp})
+            partials.append(run_pipeline(g.induced_subgraph(comp), sub_dec,
+                                         overrides, oracle, oracle_cap))
+        return td._combine(g, partials)
+
+    if not g.vertices:
+        return td.PipelineOutcome("decided", True, g, 0, [])
+
+    if decomposition is None:
+        try:
+            decomposition = treedepth_decomposition(g)
+        except GraphError:
+            return td.PipelineOutcome("reduced", None, g, 0,
+                                   [{"action": "no-decomposition"}])
+    decomposition = normalize_decomposition(g, decomposition)
+
+    ctx = td.TDContext(g, decomposition, decomposition.depth, thresholds,
+                    oracle, oracle_cap)
+
+    # Phase I: Rules I and II bottom-up over the decomposition
+    levels = ctx.decomposition.levels
+    for v in sorted(levels, key=lambda u: (-levels[u], u)):
+        if v not in ctx.decomposition.parent:
+            continue  # removed by an earlier deletion
+        if td.apply_rule1(ctx, v) is not None:
+            return td._outcome(ctx, "rejected", False)
+        for a, b in td._rule2_pairs(ctx, v):
+            if td.apply_rule2(ctx, v, a, b) == "rejected":
+                return td._outcome(ctx, "rejected", False)
+
+    # Phase II: Rule III bottom-up over the block-cut trees
+    processed: set[int] = set()
+    while True:
+        depth = ctx.blocks().depth
+        todo = [c for c in depth if c not in processed]
+        if not todo:
+            break
+        v = max(todo, key=lambda c: (depth[c], -c))
+        processed.add(v)
+        if td.apply_rule3(ctx, v) == "rejected":
+            return td._outcome(ctx, "rejected", False)
+
+    # final decision on the reduced instance
+    try:
+        answer = ctx.ask(ctx.graph, Predicate("plain", geometric=True))
+    except CapExceeded:
+        return td._outcome(ctx, "reduced", None)
+    return td._outcome(ctx, "decided", answer)

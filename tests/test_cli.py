@@ -118,6 +118,21 @@ def test_td_run_disconnected_remainder(tmp_path, capsys):
     assert payload["remaining_vertices"] == [0, 1, 4, 5]
 
 
+def test_td_run_accepts_a_decomposition_of_a_disconnected_graph(
+        tmp_path, capsys):
+    # the chain 0-2-1-3 is valid for the edges 01 and 23, but cut at the
+    # components it leaves 0 and 1 as two roots; normalizing first keeps
+    # each component's ancestry
+    infile = tmp_path / "g.edges"
+    infile.write_text("0 1\n2 3\n")
+    dec = tmp_path / "td.txt"
+    dec.write_text("0 -1\n2 0\n1 2\n3 1\n")
+    assert main(["td-run", "--in", str(infile),
+                 "--decomposition", str(dec)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "YES" and captured.err == ""
+
+
 def test_td_run_accepts_deep_decomposition_listed_child_first(
         tmp_path, capsys):
     # a chain deeper than the interpreter's recursion limit

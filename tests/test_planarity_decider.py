@@ -3,9 +3,11 @@
 graphs, under the six benchmark predicates plus topological a-outer and
 ab-outer.
 
-Verdicts must agree.  A geometric verdict keeps its witness and its count
-of valid embeddings byte for byte, since it still comes from the rotation
-search; every topological witness, now the planarity test's embedding,
+Verdicts must agree.  A geometric verdict keeps its witness byte for byte,
+since it still comes from the rotation search, and so does its count of
+valid embeddings, except that geometric ab-outer and ab-shared count only
+the assignments that pass the apex test; every topological witness, now
+the planarity test's embedding,
 must pass ``check-embedding`` (its JSON must read back through
 ``embedding_from_json``, which validates it), embed the graph and place its
 anchors."""
@@ -19,8 +21,11 @@ import pytest
 
 from oneplanar.decider import (
     Predicate,
+    _accepted_outer,
+    _system_iter,
     _test_rotation,
     decide,
+    density_excludes,
     enumerate_crossing_sets,
 )
 from oneplanar.embedding import (
@@ -110,11 +115,32 @@ def check_witness(emb, g: Graph, pred: Predicate) -> None:
         assert not find_bw_configurations(back)
 
 
+def apex_gated_count(g: Graph, pred: Predicate) -> int:
+    """The rotation loop's count of valid embeddings up to its answer, over
+    only the assignments whose planarization has a face holding a and b,
+    by the apex test the decider runs first."""
+    if density_excludes(g, pred.geometric):
+        return 0
+    count = 0
+    for assignment in enumerate_crossing_sets(g, pred.k):
+        skeleton = unrotated_embedding(g, assignment.pairs,
+                                       assignment.edge_order)
+        if _test_rotation(skeleton, pred.anchors) is None:
+            continue
+        for emb in _system_iter(g, assignment):
+            count += 1
+            if _accepted_outer(emb, pred) is not None:
+                return count
+    return count
+
+
 def compare(g: Graph, pred: Predicate) -> bool:
     answer, witness, count = oracle.decide_connected(g, pred, CAP, True)
     got = decide(g, pred, cap=CAP)
     assert got.answer == answer
     if pred.geometric:
+        if pred.variant in ("ab-outer", "ab-shared"):
+            count = apex_gated_count(g, pred)
         assert got.embeddings_enumerated == count
         assert (got.witness is None) == (witness is None)
         if witness is not None:

@@ -12,7 +12,13 @@ import pytest
 
 from oneplanar.cli import main
 from oneplanar.decider import CapExceeded, Predicate, decide
-from oneplanar.graph import Graph, TreedepthDecomposition, format_edge_list
+from oneplanar.graph import (
+    Graph,
+    GraphError,
+    TreedepthDecomposition,
+    connected_components,
+    format_edge_list,
+)
 from oneplanar.td_pipeline import (
     TDContext,
     Thresholds,
@@ -238,6 +244,89 @@ def test_normalize_splits_disconnected_child():
     norm.validate(g)
 
 
+def test_normalize_keeps_adjacent_vertices_apart():
+    """In the chain 0-2-3-1 the old split at 2 moved 3 up to 0, and the
+    split at 3 then moved 1 up to 0 too, a sibling of its neighbour 2, so
+    Rule II acted at 0 on an invalid decomposition; in the elimination tree
+    1 stays below 2 and Rule II acts at 2."""
+    g = Graph.build([(0, 1), (0, 2), (0, 3), (1, 2)])
+    dec = parse_decomposition("0 -1\n2 0\n3 2\n1 3\n")
+    norm = normalize_decomposition(g, dec)
+    norm.validate(g)
+    assert norm.parent == {0: -1, 2: 0, 3: 0, 1: 2}
+    out = run_pipeline(g, decomposition=dec, oracle=yes_oracle,
+                       overrides=Thresholds(rule2_baseline=0))
+    rule2 = [ev for ev in out.log if ev["rule"] == "II"]
+    assert [(ev["node"], ev["pair"]) for ev in rule2] == [(2, [0, 2])]
+
+
+def random_decomposition(rng, n: int
+                         ) -> tuple[Graph, TreedepthDecomposition]:
+    """A random rooted forest on 0..n-1 and a graph whose edges are random
+    ancestor-descendant pairs of it, so the forest is a valid, usually not
+    normalized, decomposition of a graph that may be disconnected."""
+    order = rng.sample(range(n), n)
+    parent = {v: (order[rng.randrange(i)] if i and rng.random() < 0.9
+                  else -1) for i, v in enumerate(order)}
+    pairs = []
+    for v in order:
+        u = parent[v]
+        while u != -1:
+            if rng.random() < 0.4:
+                pairs.append((u, v))
+            u = parent[u]
+    return (Graph.build(pairs, vertices=range(n)),
+            TreedepthDecomposition(parent))
+
+
+def chain_decomposition(rng, g: Graph) -> TreedepthDecomposition:
+    """The vertices of g as one chain in random order: every pair is
+    comparable, so any graph on them is covered."""
+    order = rng.sample(sorted(g.vertices), g.n)
+    return TreedepthDecomposition(
+        {v: (order[i - 1] if i else -1) for i, v in enumerate(order)})
+
+
+def normalization_cases(rng, count: int):
+    """Seeded (graph, valid decomposition) pairs: random forests with
+    ancestor-descendant edges, and random connected graphs under a
+    randomized DFS tree or a chain in random vertex order."""
+    for i in range(count):
+        if i % 3 == 0:
+            yield random_decomposition(rng, rng.randint(1, 12))
+            continue
+        g = random_connected_graph(rng, rng.randint(1, 12), rng.randint(0, 6))
+        yield g, (dfs_decomposition(rng, g) if i % 3 == 1
+                  else chain_decomposition(rng, g))
+
+
+def test_normalize_is_the_elimination_tree(rng):
+    """The output validates, every subtree is connected and adjacent to its
+    parent, ancestry only shrinks and depth never grows; and it is the old
+    fixpoint's output, key order included, wherever that output is valid."""
+    moved = old_valid = old_invalid = 0
+    for g, dec in normalization_cases(rng, 1500):
+        norm = normalize_decomposition(g, dec)
+        norm.validate(g)
+        for v, p in norm.parent.items():
+            below = norm.descendants(v)
+            assert len(connected_components(below, g.neighbors)) == 1
+            assert p == -1 or any(p in g.neighbors(x) for x in below)
+            assert set(oracle.ancestors(norm, v)) <= set(
+                oracle.ancestors(dec, v))
+        assert norm.depth <= dec.depth
+        moved += norm.parent != dec.parent
+        old = oracle.normalize_decomposition(g, dec)
+        try:
+            old.validate(g)
+        except GraphError:
+            old_invalid += 1
+            continue
+        old_valid += 1
+        assert list(old.parent.items()) == list(norm.parent.items())
+    assert moved >= 500 and old_valid >= 1000 and old_invalid >= 20
+
+
 # ---------------------------------------------------------------------------
 # Derived data: computed once per mutation, equal to the definitions
 # ---------------------------------------------------------------------------
@@ -330,8 +419,10 @@ def dfs_decomposition(rng, g: Graph) -> TreedepthDecomposition:
 def rule_test_instances(rng, count: int):
     """Seeded graphs with many children on two or three attachment vertices
     (K2,N and K3,N plus random edges) or none (random graphs), under random
-    decompositions and thresholds."""
-    for _ in range(count):
+    thresholds and normalized decompositions: ``count`` from randomized DFS
+    trees, which are already normalized, then ``count // 3`` from chains in
+    random vertex order, which normalization splits."""
+    for i in range(count + count // 3):
         if rng.random() < 0.4:
             g = random_connected_graph(rng, rng.randint(3, 10),
                                        rng.randint(0, 5))
@@ -341,7 +432,9 @@ def rule_test_instances(rng, count: int):
             extra = [tuple(rng.sample(sorted(base.vertices), 2))
                      for _ in range(rng.randint(0, 3))]
             g = Graph.build(list(base.edges.values()) + extra)
-        dec = normalize_decomposition(g, dfs_decomposition(rng, g))
+        start = (dfs_decomposition(rng, g) if i < count
+                 else chain_decomposition(rng, g))
+        dec = normalize_decomposition(g, start)
         yield g, dec, Thresholds(rule1=rng.choice((None, 1, 2, 3)),
                                  rule2_baseline=rng.randint(0, 2),
                                  rule2_reject=rng.choice((None, 2, 3)))
@@ -386,6 +479,51 @@ def test_rule_tests_match_old_code(rng):
                     ("pairs", False), ("rule1", True), ("rule1", False),
                     ("rule2", "mutated"), ("rule2", "skipped"),
                     ("rule2", "rejected")}
+
+
+def test_pipeline_matches_old_code_where_old_normalization_is_valid(
+        rng, monkeypatch):
+    """The pipeline with the elimination tree and one fixed Phase II order
+    gives the old pipeline's result, answer, oracle calls and log on every
+    instance where each decomposition the old one normalized came out
+    valid; connected and disconnected graphs, DFS trees and chains."""
+    old_normalize = oracle.normalize_decomposition
+    old_valid = []
+
+    def checked(g, t):
+        out = old_normalize(g, t)
+        try:
+            out.validate(g)
+            old_valid.append(True)
+        except GraphError:
+            old_valid.append(False)
+        return out
+
+    monkeypatch.setattr(oracle, "normalize_decomposition", checked)
+    seen = set()
+    compared = 0
+    instances = itertools.chain(
+        ((g, chain_decomposition(rng, g), th)
+         for g, _, th in rule_test_instances(rng, 150)),
+        ((g, dec, Thresholds(rule2_baseline=rng.randint(0, 1)))
+         for g, dec in normalization_cases(rng, 300)))
+    for g, dec, thresholds in instances:
+        del old_valid[:]
+        try:
+            want = oracle.run_pipeline(g, dec, thresholds, hashed_oracle)
+        except GraphError:  # a component cut off an ancestry path
+            continue
+        if not all(old_valid):
+            continue
+        got = run_pipeline(g, dec, thresholds, hashed_oracle)
+        assert (got.result, got.answer, got.oracle_calls, got.log,
+                got.graph.vertices) == (
+                    want.result, want.answer, want.oracle_calls, want.log,
+                    want.graph.vertices)
+        compared += 1
+        seen.update((ev.get("rule"), ev["action"]) for ev in got.log)
+    assert compared >= 250
+    assert seen >= {("II", "delete"), ("III", "delete"), ("III", "reject")}
 
 
 def test_rule_two_block_test_sees_the_deletions_before_it():
