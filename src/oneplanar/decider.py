@@ -15,7 +15,15 @@ segments, the apex's path counted as one, which are all planar.
   outer face of the assignments that pass, because Thomassen's B/W check
   depends on the whole embedding: a graph is a yes-instance iff some valid
   1-planar embedding together with an outer-face choice is free of B- and
-  W-configurations.  No coordinates are produced.
+  W-configurations.  No coordinates are produced.  The rotation systems
+  are built by face insertion, one segment of the planarization at a time:
+  a chord goes only into two corners of one face, so no partial map leaves
+  genus 0, and a dummy's fourth dart only between the darts of one edge.
+  Up to ``SORTED_SYSTEMS`` systems of an assignment are sorted into the
+  order of the product of per-node rotations, which fixes the witnesses;
+  more stream in build order.  At most ``INSERTION_BUDGET`` insertion
+  steps are taken per ``decide`` call; beyond it the search raises
+  ``CapExceeded``.
 
 For k >= 2 only the topological deciders are available; no straightening
 characterization exists there.
@@ -30,6 +38,7 @@ from typing import Iterator, Optional
 
 from .embedding import (
     PlaneEmbedding,
+    Planarization,
     build_embedding,
     unrotated_embedding,
     validate_embedding,
@@ -39,6 +48,13 @@ from .planarity import planar_rotation
 from .straightening import candidate_configurations
 
 DEFAULT_EDGE_CAP = 11
+# Insertion steps the rotation search may take in one ``decide`` call.
+INSERTION_BUDGET = 1_000_000
+# An assignment with at most this many rotation systems yields them in the
+# order of the product of per-node rotations.  Past it they stream in build
+# order, so that a graph with very many embeddings (a star K1,11 has 1.8
+# million up to reflection) is answered from its first ones.
+SORTED_SYSTEMS = 1000
 
 
 class CapExceeded(RuntimeError):
@@ -85,9 +101,12 @@ class DecideStats:
     assignments_euler_skipped: int = 0  # of those, below the Euler start
     planarity_tests: int = 0
     planarity_failed: int = 0
-    rotation_systems: int = 0  # tried by the geometric search
-    valid_embeddings: int = 0  # rotation systems that passed, or the test's
+    density_rejections: int = 0  # components ruled out by edge density
+    insertions: int = 0  # segment insertion steps of the geometric search
+    rotation_systems: int = 0  # genus-0 systems it built
+    valid_embeddings: int = 0  # rotation systems examined, or the test's
     outer_faces_checked: int = 0
+    bw_candidates: int = 0  # B/W candidates built for geometric predicates
     memo_hits: int = 0
 
 
@@ -195,15 +214,187 @@ def enumerate_crossing_sets(g: Graph, k: int = 1) -> Iterator[CrossingAssignment
 
 
 # ---------------------------------------------------------------------------
-# Rotation-system enumeration
+# Rotation systems by face insertion
 # ---------------------------------------------------------------------------
+
+_NEW, _FREE, _ALTERNATE = range(3)  # the modes of a segment end
+
+
+def _insertion_steps(plan: Planarization, comp: frozenset[int],
+                     dummies: set[int], pin: bool
+                     ) -> list[tuple[int, int, int, int, int]]:
+    """The order in which one component's segments are inserted, as steps
+    ``(dart at origin, twin, mode at origin, mode at target, pin)``.
+
+    Nodes join by maximum-cardinality search from a node of largest degree:
+    the next node is the one with the most segments to placed nodes.  One of
+    those segments goes in first as a pendant segment, from its end with the
+    fewest placed darts; the rest follow at once as chords, so every segment
+    touches what is placed, and chords come before the next pendant.  An
+    end's mode is ``_NEW`` when its node has no dart yet, ``_ALTERNATE``
+    when it is the fourth dart of a dummy, and ``_FREE`` otherwise.  With
+    ``pin``, the first dart to be a node's third gets as ``pin`` the node's
+    second dart, which it must be inserted before."""
+    node_darts = plan.node_darts
+    start = min(comp, key=lambda v: (-len(node_darts[v]), v))
+    placed_darts: dict[int, list[int]] = {v: [] for v in comp}
+    reach = dict.fromkeys(comp, 0)  # segments to placed nodes
+    placed = {start}
+    for d in node_darts[start]:
+        reach[plan.target(d)] += 1
+    steps: list[tuple[int, int, int, int, int]] = []
+    while len(placed) < len(comp):
+        w = max((v for v in comp if v not in placed),
+                key=lambda v: (reach[v], -v))
+        into = sorted((d ^ 1 for d in node_darts[w] if plan.target(d) in placed),
+                      key=lambda d: (len(placed_darts[plan.origin(d)]), d))
+        placed.add(w)
+        for d in node_darts[w]:
+            reach[plan.target(d)] += 1
+        for d in into:
+            step = [d, d ^ 1, 0, 0, -1]
+            for end, x in enumerate((d, d ^ 1)):
+                node = plan.origin(x)
+                have = placed_darts[node]
+                if not have:
+                    step[2 + end] = _NEW
+                elif len(have) == 3 and node in dummies:
+                    step[2 + end] = _ALTERNATE
+                else:
+                    step[2 + end] = _FREE
+                if pin and len(have) == 2:
+                    step[4] = have[1]
+                    pin = False
+            for x in (d, d ^ 1):
+                placed_darts[plan.origin(x)].append(x)
+            steps.append(tuple(step))
+    return steps
+
+
+def _component_rotations(skeleton: PlaneEmbedding, comp: frozenset[int],
+                         pin: bool, stats: DecideStats
+                         ) -> Iterator[dict[int, tuple[int, ...]]]:
+    """Every genus-0 rotation system of one component of the skeleton's
+    planarization whose dummies alternate, each rotation listed from its
+    node's smallest dart; with ``pin``, one of each mirror pair.
+
+    The segments go in one at a time (``_insertion_steps``).  A pendant
+    segment may go into any corner of its placed end.  A chord may go only
+    into two corners of one face, which it splits; a chord across two faces
+    would raise the genus, and the genus never drops again, so no partial
+    map off genus 0 is built.  A dummy's fourth dart must go between the
+    two darts of one edge.  Every system arises from exactly one sequence
+    of corners, and each corner taken is an insertion step of ``stats``;
+    passing ``INSERTION_BUDGET`` raises ``CapExceeded``."""
+    plan = skeleton.planarization
+    origin = [plan.origin(d) for d in range(plan.dart_count)]
+    edge = [skeleton.edge_of(d) for d in range(plan.dart_count)]
+    steps = _insertion_steps(plan, comp,
+                             {c.dummy for c in skeleton.crossings}, pin)
+    first: dict[int, int] = {}  # the first dart placed at each node
+    for step in steps:
+        for d in step[:2]:
+            first.setdefault(origin[d], d)
+    succ = [-1] * plan.dart_count
+    pred = [-1] * plan.dart_count
+
+    def corners(node: int, mode: int, pin_dart: int) -> list[int]:
+        """The placed darts at node that a new dart may go in front of; -1
+        alone when the node has none."""
+        if mode == _NEW:
+            return [-1]
+        if pin_dart >= 0 and origin[pin_dart] == node:
+            return [pin_dart]
+        out = []
+        d = first[node]
+        while True:
+            if mode == _FREE or edge[pred[d]] == edge[d]:
+                out.append(d)
+            d = succ[d]
+            if d == first[node]:
+                return out
+
+    def options(step: tuple[int, int, int, int, int]) -> list[tuple[int, int]]:
+        da, db, mode_a, mode_b, pin_dart = step
+        at_a = corners(origin[da], mode_a, pin_dart)
+        at_b = corners(origin[db], mode_b, pin_dart)
+        if mode_a == _NEW or mode_b == _NEW:  # a pendant segment
+            return [(qa, qb) for qa in at_a for qb in at_b]
+        out = []  # a chord: two corners of one face
+        for qa in at_a:
+            x = qa
+            while True:  # the face of the corner in front of qa
+                if x in at_b:
+                    out.append((qa, x))
+                x = succ[x ^ 1]
+                if x == qa:
+                    break
+        return out
+
+    def insert(d: int, q: int) -> None:
+        if q < 0:
+            succ[d] = pred[d] = d
+        else:
+            p = pred[q]
+            succ[p], pred[d], succ[d], pred[q] = d, p, q, d
+
+    def remove(d: int, q: int) -> None:
+        if q >= 0:
+            p = pred[d]
+            succ[p], pred[q] = q, p
+
+    taken: list[Optional[tuple[int, int]]] = [None] * len(steps)
+    pending = [iter(options(steps[0]))]
+    while pending:
+        i = len(pending) - 1
+        da, db = steps[i][:2]
+        if taken[i] is not None:
+            remove(da, taken[i][0])
+            remove(db, taken[i][1])
+            taken[i] = None
+        choice = next(pending[i], None)
+        if choice is None:
+            pending.pop()
+            continue
+        stats.insertions += 1
+        if stats.insertions > INSERTION_BUDGET:
+            raise CapExceeded(
+                f"rotation search exceeds {INSERTION_BUDGET} insertion steps")
+        insert(da, choice[0])
+        insert(db, choice[1])
+        taken[i] = choice
+        if i + 1 < len(steps):
+            pending.append(iter(options(steps[i + 1])))
+            continue
+        rotation = {}
+        for v in comp:
+            d = head = plan.node_darts[v][0]
+            rot = []
+            while True:
+                rot.append(d)
+                d = succ[d]
+                if d == head:
+                    break
+            rotation[v] = tuple(rot)
+        yield rotation
+
 
 def _system_iter(g: Graph, assignment: CrossingAssignment,
                  stats: Optional[DecideStats] = None
                  ) -> Iterator[PlaneEmbedding]:
     """Yield one PlaneEmbedding per genus-0 rotation system with proper
     (alternating) crossings, up to reflection; the outer dart is a
-    placeholder.  Each rotation system tried is counted in ``stats``."""
+    placeholder.  Each system built is counted in ``stats``.
+
+    Each component's systems come from ``_component_rotations``.  The
+    reflection is pinned at a pivot: the real node of largest degree (at
+    least 3, smallest id on ties), else the first dummy.  Its rotation,
+    listed from its smallest dart, must have a second dart smaller than
+    its last; the pivot's component is built with one of each mirror pair
+    and mirrored where the pivot disagrees.  Up to ``SORTED_SYSTEMS``
+    systems are yielded in the order of the product of per-node rotations
+    listed from their smallest darts, as lexicographic tuples; more stream
+    in build order."""
     if not g.edges:
         return
     if stats is None:
@@ -211,75 +402,40 @@ def _system_iter(g: Graph, assignment: CrossingAssignment,
     skeleton = unrotated_embedding(g, assignment.pairs, assignment.edge_order)
     plan = skeleton.planarization
     node_darts = plan.node_darts
-
+    nodes = sorted(node_darts)
     dummies = [c.dummy for c in skeleton.crossings]
     dummy_set = set(dummies)
-
-    # candidate rotations per node: cyclic orders with the first dart pinned
-    def real_candidates(darts: list[int]) -> list[tuple[int, ...]]:
-        head, rest = darts[0], darts[1:]
-        return [(head,) + p for p in itertools.permutations(rest)]
-
-    def dummy_candidates(dummy: int) -> list[tuple[int, ...]]:
-        by_edge: dict[int, list[int]] = {}
-        for d in node_darts[dummy]:
-            by_edge.setdefault(skeleton.edge_of(d), []).append(d)
-        groups = sorted(by_edge.values())
-        if len(groups) == 1:  # same pair crossing twice: split by instance
-            (a1, a2, b1, b2) = sorted(groups[0])
-            groups = [[a1, a2], [b1, b2]]
-        (a1, a2), (b1, b2) = (sorted(gr) for gr in groups)
-        return [(a1, b1, a2, b2), (a1, b2, a2, b1)]
-
-    nodes = sorted(node_darts)
-    pivot = None  # pinned to one of each mirror pair of its rotations
     eligible = [v for v in nodes
-                if v not in dummy_set and len(node_darts[v]) >= 3]
-    if eligible:
-        pivot = max(eligible, key=lambda v: (len(node_darts[v]), -v))
-    elif dummies:
-        pivot = dummies[0]
+                if len(node_darts[v]) >= 3 and v not in dummy_set]
+    pivot = (max(eligible, key=lambda v: (len(node_darts[v]), -v))
+             if eligible else dummies[0] if dummies else None)
 
-    cand_lists: list[list[tuple[int, ...]]] = []
-    for v in nodes:
-        if v in dummy_set:
-            cands = dummy_candidates(v)
-            if v == pivot:
-                cands = cands[:1]
-        else:
-            cands = real_candidates(node_darts[v])
-            if v == pivot:
-                cands = [c for c in cands if c[1:] <= c[1:][::-1]]
-        cand_lists.append(cands)
+    parts = []
+    for comp in plan.components:
+        part = _component_rotations(skeleton, comp, pivot in comp, stats)
+        if pivot in comp:
+            part = (rot if rot[pivot][1] < rot[pivot][-1] else
+                    {v: r[:1] + r[:0:-1] for v, r in rot.items()}
+                    for rot in part)
+        parts.append(part)
+    first, *others = parts
+    others = [list(part) for part in others]
 
-    comps = len(plan.components)
-    nd = plan.dart_count
-    want_faces = 2 * comps - len(nodes) + len(plan.segments)
-    if want_faces < comps:
-        return
-    succ = [0] * nd
-    for combo in itertools.product(*cand_lists):
-        stats.rotation_systems += 1
-        for rot in combo:
-            prev = rot[-1]
-            for d in rot:
-                succ[prev ^ 1] = d
-                prev = d
-        faces = 0
-        unseen = bytearray(nd)
-        for d0 in range(nd):
-            if not unseen[d0]:
-                faces += 1
-                if faces > want_faces:
-                    break
-                d = d0
-                while not unseen[d]:
-                    unseen[d] = 1
-                    d = succ[d]
-        if faces != want_faces:
-            continue
-        yield dataclasses.replace(skeleton, rotation=dict(zip(nodes, combo)),
-                                  outer=0)
+    def merged() -> Iterator[dict[int, tuple[int, ...]]]:
+        for rot in first:
+            for rest in itertools.product(*others):
+                stats.rotation_systems += 1
+                out = dict(rot)
+                for part in rest:
+                    out.update(part)
+                yield out
+
+    systems = merged()
+    head = list(itertools.islice(systems, SORTED_SYSTEMS + 1))
+    if len(head) <= SORTED_SYSTEMS:
+        head.sort(key=lambda rot: [rot[v] for v in nodes])
+    for rot in itertools.chain(head, systems):
+        yield dataclasses.replace(skeleton, rotation=rot, outer=0)
 
 
 def _test_rotation(skeleton: PlaneEmbedding, apex: tuple[int, ...] = ()
@@ -392,6 +548,8 @@ def _accepted_outer(emb: PlaneEmbedding, pred: Predicate,
     else:
         outer_anchors = pred.anchors
     cands = candidate_configurations(emb) if pred.geometric else []
+    if stats is not None:
+        stats.bw_candidates += len(cands)
     for f, fv in enumerate(fverts):
         if stats is not None:
             stats.outer_faces_checked += 1
@@ -416,6 +574,7 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
     the edges uncrossed there, a planar planarization of an assignment with
     one crossing less, which was tried before and failed."""
     if density_excludes(g, pred.geometric) and pred.k == 1:
+        stats.density_rejections += 1
         return Verdict(False, None, stats)
     if g.m > cap:
         raise CapExceeded(f"{g.m} edges exceeds decider cap {cap}")
@@ -487,8 +646,9 @@ def decide(g: Graph, pred: Predicate, cap: int = DEFAULT_EDGE_CAP,
 
     Disconnected graphs combine componentwise: a drawing places components
     side by side, so anchored predicates reduce to outer-variants on the
-    anchor components.  Witnesses are merged for non-geometric results and
-    for single-component graphs; otherwise only the answer is reported.
+    anchor components.  A YES on a connected graph carries a witness.  On a
+    disconnected graph only a topological plain YES does, merged from the
+    components; any other predicate reports the answer without a witness.
     """
     for v in pred.anchors:
         if v not in g.vertices:

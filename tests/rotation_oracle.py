@@ -1,24 +1,117 @@
-"""Reference implementation for ``tests/test_planarity_decider.py``: the
-per-component loop of ``oneplanar.decider`` before the planarity test took
-over.  It enumerates every rotation system of every crossing assignment, in
-product order, and takes the first embedding with an acceptable outer face.
-It returns ``(answer, witness, embeddings_enumerated)``."""
+"""Reference implementations for the decider tests.
+
+``system_iter`` is the rotation-system enumerator that face insertion
+replaced in ``oneplanar.decider._system_iter``: it takes the full product
+of the cyclic orders at every node of the planarization, with one mirror
+image pinned at a pivot node, and keeps the products that trace to genus 0.
+The new enumerator must yield the same rotation dicts in the same order.
+
+``decide_connected`` is the per-component loop of ``oneplanar.decider``
+before the planarity test took over.  It enumerates every rotation system
+of every crossing assignment, in product order, and takes the first
+embedding with an acceptable outer face.  It returns ``(answer, witness,
+embeddings_enumerated)``."""
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+import itertools
+from typing import Iterator, Optional
 
 from oneplanar.decider import (
     CapExceeded,
+    CrossingAssignment,
     Predicate,
     _accepted_outer,
-    _system_iter,
     density_excludes,
     enumerate_crossing_sets,
 )
-from oneplanar.embedding import PlaneEmbedding, validate_embedding
+from oneplanar.embedding import (
+    PlaneEmbedding,
+    unrotated_embedding,
+    validate_embedding,
+)
 from oneplanar.graph import Graph
+
+
+def system_iter(g: Graph, assignment: CrossingAssignment
+                ) -> Iterator[PlaneEmbedding]:
+    """Yield one PlaneEmbedding per genus-0 rotation system with proper
+    (alternating) crossings, up to reflection; the outer dart is a
+    placeholder."""
+    if not g.edges:
+        return
+    skeleton = unrotated_embedding(g, assignment.pairs, assignment.edge_order)
+    plan = skeleton.planarization
+    node_darts = plan.node_darts
+
+    dummies = [c.dummy for c in skeleton.crossings]
+    dummy_set = set(dummies)
+
+    # candidate rotations per node: cyclic orders with the first dart pinned
+    def real_candidates(darts: list[int]) -> list[tuple[int, ...]]:
+        head, rest = darts[0], darts[1:]
+        return [(head,) + p for p in itertools.permutations(rest)]
+
+    def dummy_candidates(dummy: int) -> list[tuple[int, ...]]:
+        by_edge: dict[int, list[int]] = {}
+        for d in node_darts[dummy]:
+            by_edge.setdefault(skeleton.edge_of(d), []).append(d)
+        groups = sorted(by_edge.values())
+        if len(groups) == 1:  # same pair crossing twice: split by instance
+            (a1, a2, b1, b2) = sorted(groups[0])
+            groups = [[a1, a2], [b1, b2]]
+        (a1, a2), (b1, b2) = (sorted(gr) for gr in groups)
+        return [(a1, b1, a2, b2), (a1, b2, a2, b1)]
+
+    nodes = sorted(node_darts)
+    pivot = None  # pinned to one of each mirror pair of its rotations
+    eligible = [v for v in nodes
+                if v not in dummy_set and len(node_darts[v]) >= 3]
+    if eligible:
+        pivot = max(eligible, key=lambda v: (len(node_darts[v]), -v))
+    elif dummies:
+        pivot = dummies[0]
+
+    cand_lists: list[list[tuple[int, ...]]] = []
+    for v in nodes:
+        if v in dummy_set:
+            cands = dummy_candidates(v)
+            if v == pivot:
+                cands = cands[:1]
+        else:
+            cands = real_candidates(node_darts[v])
+            if v == pivot:
+                cands = [c for c in cands if c[1:] <= c[1:][::-1]]
+        cand_lists.append(cands)
+
+    comps = len(plan.components)
+    nd = plan.dart_count
+    want_faces = 2 * comps - len(nodes) + len(plan.segments)
+    if want_faces < comps:
+        return
+    succ = [0] * nd
+    for combo in itertools.product(*cand_lists):
+        for rot in combo:
+            prev = rot[-1]
+            for d in rot:
+                succ[prev ^ 1] = d
+                prev = d
+        faces = 0
+        unseen = bytearray(nd)
+        for d0 in range(nd):
+            if not unseen[d0]:
+                faces += 1
+                if faces > want_faces:
+                    break
+                d = d0
+                while not unseen[d]:
+                    unseen[d] = 1
+                    d = succ[d]
+        if faces != want_faces:
+            continue
+        yield dataclasses.replace(skeleton, rotation=dict(zip(nodes, combo)),
+                                  outer=0)
 
 
 def decide_connected(g: Graph, pred: Predicate, cap: int,
@@ -33,7 +126,7 @@ def decide_connected(g: Graph, pred: Predicate, cap: int,
 
     count = 0
     for assignment in enumerate_crossing_sets(g, pred.k):
-        for emb in _system_iter(g, assignment):
+        for emb in system_iter(g, assignment):
             count += 1
             outer = _accepted_outer(emb, pred)
             if outer is None:

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from oneplanar import decider
 from oneplanar.cli import arc_system_from_json, arc_system_to_json, main
-from oneplanar.embedding import embedding_to_json
-from oneplanar.graph import format_edge_list, parse_edge_list
+from oneplanar.embedding import embedding_from_json, embedding_to_json
+from oneplanar.graph import Graph, format_edge_list, parse_edge_list
+from oneplanar.straightening import find_bw_configurations
 from oneplanar.surgery import arc_system
 
 from conftest import complete_graph, theta_graph
@@ -50,13 +53,72 @@ def test_decide_k6_plain_by_planarity_tests(tmp_path, capsys):
     stats = json.loads(report.read_text())["stats"]
     assert stats == {"assignments": 1120, "assignments_euler_skipped": 811,
                      "planarity_tests": 309, "planarity_failed": 308,
+                     "density_rejections": 0, "insertions": 0,
                      "rotation_systems": 0, "valid_embeddings": 1,
-                     "outer_faces_checked": 1, "memo_hits": 0}
+                     "outer_faces_checked": 1, "bw_candidates": 0,
+                     "memo_hits": 0}
+
+
+def test_decide_k6_geometric_finishes(tmp_path, capsys):
+    """Face insertion builds only genus-0 rotation systems, so K6 under
+    the geometric predicate answers within seconds; its witness is a valid
+    embedding with no B- or W-configuration."""
+    infile = write_graph(tmp_path, "k6.edges", complete_graph(6))
+    witness = tmp_path / "w.json"
+    start = time.perf_counter()
+    assert main(["decide", "--in", infile, "--geometric", "--cap", "16",
+                 "--witness", str(witness)]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.strip() == "YES"
+    assert main(["check-embedding", "--in", str(witness)]) == 0
+    assert capsys.readouterr().out.startswith("OK")
+    assert not find_bw_configurations(embedding_from_json(witness.read_text()))
 
 
 def test_decide_cap_exit_code(tmp_path):
     infile = write_graph(tmp_path, "k6.edges", complete_graph(6))
     assert main(["decide", "--in", infile, "--cap", "11"]) == 3
+
+
+def test_decide_insertion_budget_exit_code(tmp_path, monkeypatch, capsys):
+    """Past ``INSERTION_BUDGET`` insertion steps the rotation search stops
+    with CapExceeded, exit 3.  K2,2,2 ab-outer --geometric takes 51."""
+    octahedron = Graph.build([(u, v) for u in range(6) for v in range(u + 1, 6)
+                              if u // 2 != v // 2])
+    infile = write_graph(tmp_path, "k222.edges", octahedron)
+    args = ["decide", "--in", infile, "--pred", "ab-outer", "--a", "0",
+            "--b", "1", "--geometric", "--cap", "12"]
+    assert main(args) == 0
+    monkeypatch.setattr(decider, "INSERTION_BUDGET", 20)
+    with pytest.raises(decider.CapExceeded):
+        decider.decide(octahedron,
+                       decider.Predicate("ab-outer", a=0, b=1, geometric=True),
+                       cap=12)
+    capsys.readouterr()
+    assert main(args) == 3
+    assert "insertion steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options, written", [
+    ([], True),
+    (["--pred", "a-outer", "--a", "0"], False),
+    (["--pred", "ab-outer", "--a", "0", "--b", "1"], False),
+    (["--pred", "ab-shared", "--a", "0", "--b", "4"], False),
+    (["--geometric"], False),
+])
+def test_decide_disconnected_witness_only_for_plain(tmp_path, capsys,
+                                                    options, written):
+    """On a disconnected graph only a topological plain YES merges the
+    components' witnesses; any other YES writes no witness file."""
+    g = Graph.build([(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6)])
+    infile = write_graph(tmp_path, "two.edges", g)
+    witness = tmp_path / "w.json"
+    assert main(["decide", "--in", infile, "--witness", str(witness),
+                 *options]) == 0
+    assert capsys.readouterr().out.strip() == "YES"
+    assert witness.exists() == written
+    if written:
+        assert main(["check-embedding", "--in", str(witness)]) == 0
 
 
 def test_bounds(capsys):

@@ -234,22 +234,28 @@ def test_memo_hit_keeps_requested_witness():
 
 
 def _stats(assignments, skipped, tests, failed, systems, valid, outer,
-           hits=0) -> DecideStats:
-    return DecideStats(assignments, skipped, tests, failed, systems, valid,
-                       outer, hits)
+           hits=0, insertions=0, bw=0) -> DecideStats:
+    return DecideStats(
+        assignments=assignments, assignments_euler_skipped=skipped,
+        planarity_tests=tests, planarity_failed=failed,
+        insertions=insertions, rotation_systems=systems,
+        valid_embeddings=valid, outer_faces_checked=outer, bw_candidates=bw,
+        memo_hits=hits)
 
 
 def test_decide_stats_record():
     k5, k34 = complete_graph(5), complete_bipartite(3, 4)
     # K5 (m=10, n=5) starts at one crossing; its first assignment is planar
     assert decide(k5, Predicate()).stats == _stats(2, 1, 1, 0, 0, 1, 1)
+    # face insertion builds its one genus-0 system (up to reflection) in 15
+    # insertion steps; the B/W check builds 4 candidates
     assert decide(k5, Predicate(geometric=True)).stats == \
-        _stats(2, 1, 1, 0, 4086, 1, 5)
+        _stats(2, 1, 1, 0, 1, 1, 5, insertions=15, bw=4)
     # K3,4 needs two crossings: 44 of its 45 assignments fail the test
     assert decide(k34, Predicate(), cap=12).stats == \
         _stats(45, 0, 45, 44, 0, 1, 1)
     v = decide(k34, Predicate(geometric=True), cap=12)
-    assert v.stats == _stats(45, 0, 45, 44, 2894, 1, 4)
+    assert v.stats == _stats(45, 0, 45, 44, 1, 1, 4, insertions=21, bw=5)
     assert v.embeddings_enumerated == 1
     # opposite octahedron vertices share no face of its plane embedding: with
     # the apex on them, every assignment below two crossings fails the test
@@ -266,10 +272,13 @@ def test_decide_stats_record():
     memo: dict = {}
     first = decide(k5, Predicate(geometric=True), memo=memo,
                    want_witness=False)
-    assert first.stats == _stats(2, 1, 1, 0, 4086, 1, 5)
+    assert first.stats == _stats(2, 1, 1, 0, 1, 1, 5, insertions=15, bw=4)
     hit = decide(complete_graph(5), Predicate(geometric=True), memo=memo,
                  want_witness=False)
     assert hit.answer and hit.stats == _stats(0, 0, 0, 0, 0, 0, 0, hits=1)
+    # K7 has 21 > 4n - 8 edges: density rules it out before any search
+    assert decide(complete_graph(7), Predicate()).stats == \
+        DecideStats(density_rejections=1)
 
 
 def test_rotation_enumeration_matches_known_planarity():

@@ -22,7 +22,6 @@ import pytest
 from oneplanar.decider import (
     Predicate,
     _accepted_outer,
-    _system_iter,
     _test_rotation,
     decide,
     density_excludes,
@@ -127,7 +126,7 @@ def apex_gated_count(g: Graph, pred: Predicate) -> int:
                                        assignment.edge_order)
         if _test_rotation(skeleton, pred.anchors) is None:
             continue
-        for emb in _system_iter(g, assignment):
+        for emb in oracle.system_iter(g, assignment):
             count += 1
             if _accepted_outer(emb, pred) is not None:
                 return count
