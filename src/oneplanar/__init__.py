@@ -27,8 +27,6 @@ from .embedding import (
     EmbeddingError,
     build_embedding,
     validate_embedding,
-    faces,
-    shared_region,
     restrict,
     embedding_to_json,
     embedding_from_json,

@@ -92,10 +92,6 @@ def _load_thresholds(text: str) -> td_pipeline.Thresholds:
         **{THRESHOLD_KEYS[k]: v for k, v in raw.items()})
 
 
-arc_system_to_json = surgery.arc_system_to_json
-arc_system_from_json = surgery.arc_system_from_json
-
-
 def _report(path: str | None, payload: dict) -> None:
     if path:
         _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -158,21 +154,22 @@ def _cmd_check_embedding(args) -> int:
 
 def _cmd_simplify(args) -> int:
     with _malformed(f"arc system {args.infile}"):
-        sys_ = arc_system_from_json(_read(args.infile))
+        sys_ = surgery.arc_system_from_json(_read(args.infile))
     simplified = surgery.simplify(sys_)
     arr = simplified.arrangement
     demand = max((arr.crossings_of_curve(c) for c in arr.arc_curve_ids()),
                  default=0)
     if args.geometric:
         demand *= 2
-    target = args.target or max(demand, simplified.s + simplified.f - 1, 3)
+    target = (args.target if args.target is not None
+              else max(demand, simplified.s + simplified.f - 1, 3))
     graph, emb = surgery.reshorten(simplified, target,
                                    geometric=args.geometric)
     old_static_pairs = {sys_.host.graph.edges[e] for e in sys_.static_edges}
     out_sys = surgery.arc_system(
         emb, [e for e, pair in graph.edges.items()
               if pair in old_static_pairs])
-    _write(args.out, arc_system_to_json(out_sys))
+    _write(args.out, surgery.arc_system_to_json(out_sys))
     _report(args.report, {
         "rule1_steps": simplified.rule1_steps,
         "rule2_steps": simplified.rule2_steps,

@@ -10,9 +10,9 @@ the dart's own face.
 Inside, a dart is an int ``2*segment + end`` of the planarization: the
 rotations and the outer dart of a ``PlaneEmbedding`` are stored that way.
 Encoded darts ``(edge, end, seg)`` appear only at the boundary: in
-``build_embedding``'s input, in the JSON format, in ``faces()`` and in
-``dart_to_int``/``int_to_dart``.  There ``end`` 0 points from the edge's
-smaller endpoint toward the larger one and 1 the reverse, and ``seg``
+``build_embedding``'s input, in the JSON format, in ``PlaneEmbedding.faces``
+and in ``dart_to_int``/``int_to_dart``.  There ``end`` 0 points from the
+edge's smaller endpoint toward the larger one and 1 the reverse, and ``seg``
 indexes the planarization segment along the edge (0 for uncrossed edges, in
 which case JSON omits it).
 """
@@ -398,15 +398,6 @@ def validate_embedding(emb: PlaneEmbedding, k: int = 1) -> None:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def faces(emb: PlaneEmbedding) -> list[tuple[Dart, ...]]:
-    """All face cycles; each dart appears in exactly one cycle."""
-    return list(emb.faces)
-
-
-def shared_region(emb: PlaneEmbedding, a: int, b: int) -> Optional[tuple[int, bool]]:
-    return emb.shared_region(a, b)
-
 
 def restrict(emb: PlaneEmbedding, edge_ids: Iterable[int]) -> PlaneEmbedding:
     """Subembedding on an edge subset with induced rotations; crossings are

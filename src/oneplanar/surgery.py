@@ -7,9 +7,11 @@ removes a self-crossing of a curve by the orientation-reversing smoothing
 (the loop is traversed backwards), which keeps every crossing with other
 curves in place; Rule II removes two crossings between two curves by
 reconnecting the strands at both crossing points, which swaps the enclosed
-subarcs.  Both moves only reconnect strands at the two crossing points, so
-every region of the drawing persists and the outer face can be tracked
-across every step.
+subarcs.  An antiparallel Rule II step, where the second curve meets the
+two crossings in the opposite order, is the same swap with both subarcs
+reversed.  Every step is one reconnection per strand (``_splice``) at the
+crossing points, so every region of the drawing persists and the outer
+face can be tracked across every step.
 """
 
 from __future__ import annotations
@@ -103,6 +105,29 @@ class _Curve:
 
 def _emark(cid: int, which: int) -> tuple:
     return ("E", cid, which)
+
+
+def _is_end(marker) -> bool:
+    """Whether a node-path entry is a curve-end marker, not a passage id."""
+    return isinstance(marker, tuple)
+
+
+def _splice(transform: dict, left, x, x2, mid: list, y2, y, right) -> None:
+    """Record in ``transform`` how the segments of one reconnected strand
+    merge, under both orientations of each segment key.  The strand's new
+    node path is ``left, *mid, right``; it replaces the segments
+    (left, x), (x2, mid[0]), (mid[-1], y2) and (y, right), or (left, x),
+    (x2, y2) and (y, right) when ``mid`` is empty."""
+    if mid:
+        first, last = (left, mid[0]), (mid[-1], right)
+        merges = [((left, x), first), ((x2, mid[0]), first),
+                  ((mid[-1], y2), last), ((y, right), last)]
+    else:
+        merges = [((left, x), (left, right)), ((x2, y2), (left, right)),
+                  ((y, right), (left, right))]
+    for (a, b), (c, d) in merges:
+        transform[(a, b)] = (c, d)
+        transform[(b, a)] = (d, c)
 
 
 class Arrangement:
@@ -222,7 +247,7 @@ class Arrangement:
         return [_emark(cid, _END0)] + list(curve.seq) + [_emark(cid, _END1)]
 
     def _marker_node(self, marker) -> int:
-        if isinstance(marker, tuple) and marker and marker[0] == "E":
+        if _is_end(marker):
             curve = self.curves[marker[1]]
             return curve.tail if marker[2] == _END0 else curve.head
         return self.passage_node[marker]
@@ -341,111 +366,46 @@ class Arrangement:
         if self.passage_node[p] != self.passage_node[q]:
             raise GraphError("positions are not a self-crossing")
         path = self.node_path(cid)
-        a, b = path[i], path[j + 2]
-        mid = seq[i + 1:j]
-
+        loop = seq[i + 1:j][::-1]
         transform: dict = {}
-
-        def merge(old, new) -> None:
-            transform[old] = new
-            transform[(old[1], old[0])] = (new[1], new[0])
-
-        if mid:
-            mk, m1 = mid[-1], mid[0]
-            merge((a, p), (a, mk))
-            merge((q, mk), (a, mk))
-            merge((m1, p), (m1, b))
-            merge((q, b), (m1, b))
-        else:
-            merge((a, p), (a, b))
-            merge((q, p), (a, b))
-            merge((q, b), (a, b))
-
-        for pid in mid:
+        _splice(transform, path[i], p, q, loop, p, q, path[j + 2])
+        for pid in loop:
             self._flip_toward(pid)
-        curve.seq = seq[:i] + mid[::-1] + seq[j + 1:]
+        curve.seq = seq[:i] + loop + seq[j + 1:]
         self._drop_node(p, q)
         self._apply_transform(transform)
 
     def rule2(self, cid_a: int, cid_b: int, ia1: int, ia2: int) -> None:
         """Remove two crossings between curves a and b; ia1 < ia2 are the
-        positions along a of the two shared crossing nodes."""
+        positions along a of the two shared crossing nodes.  The subarcs
+        between them trade curves; when b runs against a they are reversed
+        and their passages flipped."""
         A, B = self.curves[cid_a], self.curves[cid_b]
         pa1, pa2 = A.seq[ia1], A.seq[ia2]
         pb1, pb2 = self.other_passage(pa1), self.other_passage(pa2)
         if self.passage_curve[pb1] != cid_b or self.passage_curve[pb2] != cid_b:
             raise GraphError("positions are not crossings with curve b")
         jb1, jb2 = B.seq.index(pb1), B.seq.index(pb2)
+        lo, hi = sorted((jb1, jb2))
+        step = 1 if jb1 < jb2 else -1
+        mid_a, mid_b = A.seq[ia1 + 1:ia2][::step], B.seq[lo + 1:hi][::step]
+        (pa_lo, pb_lo), (pa_hi, pb_hi) = ((pa1, pb1), (pa2, pb2))[::step]
 
         path_a, path_b = self.node_path(cid_a), self.node_path(cid_b)
-        aL, aR = path_a[ia1], path_a[ia2 + 2]
-        mid_a = A.seq[ia1 + 1:ia2]
-
         transform: dict = {}
-
-        def merge(old, new) -> None:
-            transform[old] = new
-            transform[(old[1], old[0])] = (new[1], new[0])
-
-        if jb1 < jb2:  # parallel traversal
-            bL, bR = path_b[jb1], path_b[jb2 + 2]
-            mid_b = B.seq[jb1 + 1:jb2]
-            if mid_b:
-                merge((aL, pa1), (aL, mid_b[0]))
-                merge((pb1, mid_b[0]), (aL, mid_b[0]))
-                merge((mid_b[-1], pb2), (mid_b[-1], aR))
-                merge((pa2, aR), (mid_b[-1], aR))
-            else:
-                merge((aL, pa1), (aL, aR))
-                merge((pb1, pb2), (aL, aR))
-                merge((pa2, aR), (aL, aR))
-            if mid_a:
-                merge((bL, pb1), (bL, mid_a[0]))
-                merge((pa1, mid_a[0]), (bL, mid_a[0]))
-                merge((mid_a[-1], pa2), (mid_a[-1], bR))
-                merge((pb2, bR), (mid_a[-1], bR))
-            else:
-                merge((bL, pb1), (bL, bR))
-                merge((pa1, pa2), (bL, bR))
-                merge((pb2, bR), (bL, bR))
-            new_a = A.seq[:ia1] + mid_b + A.seq[ia2 + 1:]
-            new_b = B.seq[:jb1] + mid_a + B.seq[jb2 + 1:]
-            flipped: list[int] = []
-        else:  # antiparallel: b meets the second node first
-            bL, bR = path_b[jb2], path_b[jb1 + 2]
-            mid_b = B.seq[jb2 + 1:jb1]
-            if mid_b:
-                wm, w1 = mid_b[-1], mid_b[0]
-                merge((aL, pa1), (aL, wm))
-                merge((pb1, wm), (aL, wm))
-                merge((w1, pb2), (w1, aR))
-                merge((pa2, aR), (w1, aR))
-            else:
-                merge((aL, pa1), (aL, aR))
-                merge((pb1, pb2), (aL, aR))
-                merge((pa2, aR), (aL, aR))
-            if mid_a:
-                uk, u1 = mid_a[-1], mid_a[0]
-                merge((bL, pb2), (bL, uk))
-                merge((pa2, uk), (bL, uk))
-                merge((u1, pa1), (u1, bR))
-                merge((pb1, bR), (u1, bR))
-            else:
-                merge((bL, pb2), (bL, bR))
-                merge((pa2, pa1), (bL, bR))
-                merge((pb1, bR), (bL, bR))
-            new_a = A.seq[:ia1] + mid_b[::-1] + A.seq[ia2 + 1:]
-            new_b = B.seq[:jb2] + mid_a[::-1] + B.seq[jb1 + 1:]
-            flipped = mid_a + mid_b
-
+        _splice(transform, path_a[ia1], pa1, pb1, mid_b, pb2, pa2,
+                path_a[ia2 + 2])
+        _splice(transform, path_b[lo], pb_lo, pa_lo, mid_a, pa_hi, pb_hi,
+                path_b[hi + 2])
         for pid in mid_a:
             self.passage_curve[pid] = cid_b
         for pid in mid_b:
             self.passage_curve[pid] = cid_a
-        for pid in flipped:
-            self._flip_toward(pid)
-        A.seq = new_a
-        B.seq = new_b
+        if step < 0:
+            for pid in mid_a + mid_b:
+                self._flip_toward(pid)
+        A.seq = A.seq[:ia1] + mid_b + A.seq[ia2 + 1:]
+        B.seq = B.seq[:lo] + mid_a + B.seq[hi + 1:]
         self._drop_node(pa1, pb1)
         self._drop_node(pa2, pb2)
         self._apply_transform(transform)
@@ -624,18 +584,22 @@ def reshorten(simplified: SimplifiedSystem, target: int,
         crossed = len(edge_order.get(eid, ()))
         return (eid, 0, 0) if at_vertex == u else (eid, 1, crossed)
 
+    def curve_end_dart(cid: int, end: int) -> tuple[int, int, int]:
+        w = walks[cid]
+        if end == _END0:
+            return end_dart(edge_at(cid, 0)[0], w[0])
+        return end_dart(edge_at(cid, len(w) - 2)[0], w[-1])
+
+    def passage_dart(pid: int, toward: int) -> tuple[int, int, int]:
+        """The strand dart at a passage's dummy, leaving toward curve end
+        ``toward``."""
+        eid, low_first = passage_edge[pid]
+        toward_high = (toward == 1) == low_first
+        return (eid, 0, 1) if toward_high else (eid, 1, 0)
+
     # real vertices keep their clockwise stub order
     for v, stubs in arr.real_rot.items():
-        darts = []
-        for cid, end in stubs:
-            w = walks[cid]
-            if end == _END0:
-                eid, _ = edge_at(cid, 0)
-                darts.append(end_dart(eid, w[0]))
-            else:
-                eid, _ = edge_at(cid, len(w) - 2)
-                darts.append(end_dart(eid, w[-1]))
-        rotation[v] = darts
+        rotation[v] = [curve_end_dart(cid, end) for cid, end in stubs]
 
     # fresh subdivision vertices have trivial degree-2 rotations
     for cid in arr.arc_curve_ids():
@@ -650,34 +614,16 @@ def reshorten(simplified: SimplifiedSystem, target: int,
     # unchecked, as perfbench/pool.json records outputs with adjacent crossings
     emb = unrotated_embedding(out_graph, cross_pairs, edge_order)
     for node, cp in zip(node_ids, emb.crossings):
-        darts = []
-        for pid, toward in arr.node_rot[node]:
-            eid, low_first = passage_edge[pid]
-            toward_high = (toward == 1) == low_first
-            darts.append((eid, 0, 1) if toward_high else (eid, 1, 0))
-        rotation[cp.dummy] = darts
+        rotation[cp.dummy] = [passage_dart(pid, toward)
+                              for pid, toward in arr.node_rot[node]]
 
     # outer face: the dart leaving the outer segment's first marker
-    def marker_out_dart(marker, nxt) -> tuple[int, int, int]:
-        if isinstance(marker, tuple) and marker and marker[0] == "E":
-            _, cid, end = marker
-            w = walks[cid]
-            if end == _END0:
-                eid, _ = edge_at(cid, 0)
-                return end_dart(eid, w[0])
-            eid, _ = edge_at(cid, len(w) - 2)
-            return end_dart(eid, w[-1])
-        pid = marker
-        cid = arr.passage_curve[pid]
-        t = arr.curves[cid].seq.index(pid)
-        path = arr.node_path(cid)
-        forward = path[path.index(pid) + 1] == nxt
-        eid, low_first = passage_edge[pid]
-        toward_high = forward == low_first
-        return (eid, 0, 1) if toward_high else (eid, 1, 0)
-
     a, b = arr.outer_key
-    outer = marker_out_dart(a, b)
+    if _is_end(a):
+        outer = curve_end_dart(a[1], a[2])
+    else:
+        path = arr.node_path(arr.passage_curve[a])
+        outer = passage_dart(a, 1 if path[path.index(a) + 1] == b else 0)
 
     emb = dataclasses.replace(
         emb, rotation={v: tuple(emb.dart_to_int(d) for d in darts)

@@ -7,11 +7,15 @@ from pathlib import Path
 import pytest
 
 from oneplanar import decider
-from oneplanar.cli import arc_system_from_json, arc_system_to_json, main
+from oneplanar.cli import main
 from oneplanar.embedding import embedding_from_json, embedding_to_json
 from oneplanar.graph import Graph, format_edge_list, parse_edge_list
 from oneplanar.straightening import find_bw_configurations
-from oneplanar.surgery import arc_system
+from oneplanar.surgery import (
+    arc_system,
+    arc_system_from_json,
+    arc_system_to_json,
+)
 
 from conftest import complete_graph, theta_graph
 from test_embedding import k5_one_crossing
@@ -336,6 +340,8 @@ def test_cli_deterministic(tmp_path):
 GADGET = json.dumps({"edges": [[0, 1], [1, 2], [0, 2]], "alpha": 0, "beta": 1})
 TD_RUN = ["td-run", "--in", "@graph", "--override-thresholds"]
 TD_DEC = ["td-run", "--in", "@graph", "--decomposition", "@bad"]
+SIMPLIFY = ["simplify", "--in", "@bad", "--out", "@out", "--target"]
+BOWTIE = arc_system_to_json(arc_system(bowtie_c4(), []))
 LIFT = ["lift-bandwidth", "--graph", "@graph", "--ordering", "@bad",
         "--gadget", "@gadget"]
 GEN_REPLACE = ["gen-replace", "--graph", "@graph", "--gadget", "@bad",
@@ -360,6 +366,9 @@ MALFORMED = {
     "gadget-no-alpha": (GEN_REPLACE, '{"edges": [[0, 1]], "beta": 1}'),
     "simplify-json": (["simplify", "--in", "@bad", "--out", "@out"],
                       '{"vertices": ['),
+    # an explicit target is used as given, never replaced by the default
+    "simplify-target-zero": (SIMPLIFY + ["0"], BOWTIE),
+    "simplify-target-negative": (SIMPLIFY + ["-1"], BOWTIE),
 }
 
 

@@ -8,9 +8,7 @@ from oneplanar.embedding import (
     crossing_orientation,
     embedding_from_json,
     embedding_to_json,
-    faces,
     restrict,
-    shared_region,
 )
 from oneplanar.graph import Graph
 
@@ -91,11 +89,11 @@ def c3_embedding():
 
 def test_k4_planar_four_faces():
     emb = k4_planar()
-    assert len(faces(emb)) == 4
+    assert len(emb.faces) == 4
 
 
 def test_c3_two_faces():
-    assert len(faces(c3_embedding())) == 2
+    assert len(c3_embedding().faces) == 2
 
 
 def test_k4_toroidal_rejected():
@@ -107,7 +105,7 @@ def test_k4_toroidal_rejected():
 
 def test_k5_one_crossing_valid_eight_faces():
     emb = k5_one_crossing()
-    assert len(faces(emb)) == 8  # V'=6, E'=12 after planarization
+    assert len(emb.faces) == 8  # V'=6, E'=12 after planarization
 
 
 def test_k5_crossing_orientation_well_defined():
@@ -185,23 +183,23 @@ def test_shared_region_c4():
         3: [(1, 1, 0), (3, 1, 0)],
     }
     emb = build_embedding(g, [], rotation, outer=(0, 0, 0))
-    assert len(faces(emb)) == 2
+    assert len(emb.faces) == 2
     # adjacent and opposite vertices lie on both faces
-    found = shared_region(emb, 0, 1)
+    found = emb.shared_region(0, 1)
     assert found is not None and found[1] is True
-    found = shared_region(emb, 0, 2)
+    found = emb.shared_region(0, 2)
     assert found is not None and found[1] is True
 
 
 def test_shared_region_wheel():
     emb = w5_planar()
-    assert len(faces(emb)) == 6
+    assert len(emb.faces) == 6
     # hub and rim vertex share only bounded triangles when the rim is outer
-    face, is_outer = shared_region(emb, 0, 1)
+    face, is_outer = emb.shared_region(0, 1)
     assert is_outer is False
     assert {0, 1} <= emb.face_vertices(face)
     # two rim vertices share the outer rim face
-    face, is_outer = shared_region(emb, 1, 3)
+    face, is_outer = emb.shared_region(1, 3)
     assert is_outer is True
 
 
@@ -212,7 +210,7 @@ def test_shared_region_wheel():
 def test_restrict_identity():
     emb = k5_one_crossing()
     same = restrict(emb, emb.graph.edges)
-    assert len(faces(same)) == len(faces(emb))
+    assert len(same.faces) == len(emb.faces)
     assert same.graph.edges == emb.graph.edges
 
 
@@ -253,7 +251,7 @@ def test_json_round_trip_bit_exact():
 def test_json_preserves_structure():
     emb = k5_one_crossing()
     loaded = embedding_from_json(embedding_to_json(emb))
-    assert len(faces(loaded)) == 8
+    assert len(loaded.faces) == 8
     assert loaded.outer_face == loaded.planarization.face_of[loaded.outer]
 
 

@@ -7,7 +7,12 @@ The 13 topological ``decide/*`` entries (plain, ab-shared and k2 on K4, K5,
 K3,3 and W5, and 2K4) were re-recorded when the topological witness became
 the planarity test's embedding instead of the first rotation system in
 product order; every such witness must still validate.  The geometric
-entries still come from the rotation search and are unchanged."""
+entries still come from the rotation search and are unchanged.
+
+The ``simplify/parallel*``, ``simplify/antiparallel*`` and ``simplify/loop``
+entries were recorded while Rule I and Rule II still wrote out each strand
+reconnection by hand: they are the only cases whose steps swap or reverse
+non-empty subarcs."""
 
 from __future__ import annotations
 
@@ -28,7 +33,13 @@ from oneplanar.surgery import arc_system, reshorten, simplify
 
 from conftest import complete_bipartite, complete_graph, wheel_graph
 from test_embedding import c3_embedding, k4_planar, k5_one_crossing, w5_planar
-from test_surgery import bowtie_c4, first_embedding, random_arc_system
+from test_surgery import (
+    bowtie_c4,
+    first_embedding,
+    loop_hosts,
+    random_arc_system,
+    subarc_swap_hosts,
+)
 
 # the six predicates of the benchmark pool
 PREDICATES = {
@@ -85,6 +96,14 @@ def _surgery_systems():
         yield f"straight{seed}", (
             lambda seed=seed: random_arc_system(random.Random(seed),
                                                 want_straight=True))
+    # Rule II steps that swap non-empty subarcs, b along a and against it,
+    # and a Rule I step that reverses a non-empty loop
+    for family, antiparallel in (("parallel", False), ("antiparallel", True)):
+        for i in range(9):
+            yield f"{family}{i}", (
+                lambda i=i, antiparallel=antiparallel:
+                subarc_swap_hosts(antiparallel)[i])
+    yield "loop", lambda: loop_hosts()[2]
 
 
 def _simplify_cases():
@@ -211,6 +230,42 @@ DIGESTS = {
         "6bf6aa887bfde819868935c6019548a2accbd48e716d3ee53f850a9ff81304ba",
     "restrict/w5/5":
         "c53fa022aea1b2ba89e48d4538dfc4d70990b61910541bf71c1d7b1fd4e63cd7",
+    "simplify/antiparallel0/geo":
+        "e23813d3839d9e5fd7d4a9edbd43fa01653207faccb914deb41b46e8cee07698",
+    "simplify/antiparallel0/plain":
+        "5a13b37618fb9625325feeb4f7413574847d021a3c841719e3d8bab5e0fdb8b0",
+    "simplify/antiparallel1/geo":
+        "6110d821e67ebebbe3b9b49b1bb6a670167fe5bac20e20cf92c248ee138d6a0a",
+    "simplify/antiparallel1/plain":
+        "b4889358bb8ee6755ddbaeb4707609a5ca5883675592995bd5d5d61adc6dcb21",
+    "simplify/antiparallel2/geo":
+        "5e5bffd53f58ead7883e0769962b7f6ab6fbc86e8e75dd4bb5fed843c370e67e",
+    "simplify/antiparallel2/plain":
+        "73dda15dc307aa61cca50caa7c5c52619e58c27e406ed1faa5f96775ee3dfc51",
+    "simplify/antiparallel3/geo":
+        "65d268aba5ad98b64ac7246c99d27b8ee53a2e96928a88f8724bb694ae758eb4",
+    "simplify/antiparallel3/plain":
+        "263205baa2bdf7a0bd4ff7f435bda3d782c8353d26b4153d375115475edf7910",
+    "simplify/antiparallel4/geo":
+        "293c6a7459c260c318a3d2d537e00eb0f6459cd6a3739b43071b07682f7b4803",
+    "simplify/antiparallel4/plain":
+        "4e11e4efc55400dd90b1144407b9c28c1c8c00d5ab2f303fc212c135281d9943",
+    "simplify/antiparallel5/geo":
+        "7c13029bd491d8bb0d7bb86498e7f4550b42e83674c0a66f7eb20b0d17392b46",
+    "simplify/antiparallel5/plain":
+        "e07f22a100fa1c78eac4d647a20503ef87daa2dcf07df92e65c800f5c3b6dbf1",
+    "simplify/antiparallel6/geo":
+        "fb48b3366fc7800c21b6324d939d6f6832ff38bc89b87ee5222d020adef3940c",
+    "simplify/antiparallel6/plain":
+        "165e489d87be49ab8f3ee40f779d1b3be30453d3c9bbf952e770314646f40f6f",
+    "simplify/antiparallel7/geo":
+        "1bb2c5a175bd08dc2080d7a54ff5db9dafeb3ae1a13de7a9d184fc4ac52e8732",
+    "simplify/antiparallel7/plain":
+        "3a67aae6f28e8cdeb366cdeab4319fcb12957b0994784e1ce25633f5771a98f7",
+    "simplify/antiparallel8/geo":
+        "f48e1cb910e8a82fb94c0e488e834eb8755909bf5124df940f35d928e5e5ada2",
+    "simplify/antiparallel8/plain":
+        "f3baad839ec2a206d4f4c29935722b20351c5664f750b68d04a20b61282d3432",
     "simplify/bigon/geo":
         "0c41b03f67624eeac95d8db627c042f6f8f484edfa1d55c7adadf531336486fd",
     "simplify/bigon/plain":
@@ -219,6 +274,46 @@ DIGESTS = {
         "be7654f2b58e523c9faa1f77ea12950a0c8da658e6300e07e89630d522d2e8e3",
     "simplify/bowtie/plain":
         "be7654f2b58e523c9faa1f77ea12950a0c8da658e6300e07e89630d522d2e8e3",
+    "simplify/loop/geo":
+        "34783bdc1ed37050a91bd30855913abd8c4ea6eff15e7978a5235dda82950fca",
+    "simplify/loop/plain":
+        "0bc06b3c151b5c476ed162fdbd6e4f0a92828d874e30c437bf87813fbd36dc6f",
+    "simplify/parallel0/geo":
+        "6bac628ae334826aee74f055c23c1b0e389ea400e988e75fbad6cfea45788739",
+    "simplify/parallel0/plain":
+        "376b42041be8e139e9d68acba6141902d1c6f26321139ff2ca9ea1391ecd044b",
+    "simplify/parallel1/geo":
+        "c4aa25697850cb286f61bf631d3fe5815074efba00be3eec5e84e80114d55d01",
+    "simplify/parallel1/plain":
+        "d3dd986f0a21836df793d50c62953d153f545c008e78c8422de423068f769c34",
+    "simplify/parallel2/geo":
+        "5546704b4cbd13fc6c705cd9eb25654acd498f7e8cceae9f1ec18b5a3b421e6d",
+    "simplify/parallel2/plain":
+        "c5049d9a5f03d02e383eabdf9c31e29c91dd95b9193d63354464f8808bc946b0",
+    "simplify/parallel3/geo":
+        "da178aee567585a659f0102fefad98d0c98662333ddaea8342e70a0f31f5d86f",
+    "simplify/parallel3/plain":
+        "c4b75a15e2033a36229deb2c07615c2d0aaa00b6c3390c8674e14e2f2f3690f6",
+    "simplify/parallel4/geo":
+        "034ae23db4bdfff49491ebd2c0491fc8bf399c6532bac598ed353df6633b2598",
+    "simplify/parallel4/plain":
+        "83a83e05fe1ce4eb63c1cc4df8bbe25a1fed2b8b158c694ad3434d705dd36449",
+    "simplify/parallel5/geo":
+        "c665e2922efd73985bc1c979b3fa9c4b6da0f088a18a8d3db277eb736694dcb2",
+    "simplify/parallel5/plain":
+        "b9da2b881a84830b89085624221ffa548c05ce181a626eae490cb56e857eb107",
+    "simplify/parallel6/geo":
+        "926ac077be648b876728da3c8d8bf7c28cfd2946cf012ad3acd0fe219eae1235",
+    "simplify/parallel6/plain":
+        "d1b8cac724523663faac86314346da87a9cebb6c6d55848d4dcd1f2213694cae",
+    "simplify/parallel7/geo":
+        "f3ffbdf0f7c03d53bfcd73d289582978128e74af520161b609a2b531d5679d1b",
+    "simplify/parallel7/plain":
+        "653d48b48f0925c4c9dc49d2f370dab20fb64bd7d5be426a0aabb5b1156b9a73",
+    "simplify/parallel8/geo":
+        "bd96f0603a57cf341cf2dd6f19bb244260e6e95f3b7466be04e87ab030fd125c",
+    "simplify/parallel8/plain":
+        "dcea8a810be84a6a9cb6b45de9b75d45ce42cf52e41121c2cfffaa6dd30a3e71",
     "simplify/random0/geo":
         "04bbb927695e55e477c09a9101ebe0a3c888b7ad8c5128ba12f437fdc7fb499b",
     "simplify/random0/plain":
