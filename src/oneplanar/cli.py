@@ -2,8 +2,10 @@
 
 Verdict subcommands print YES or NO and exit 0 regardless of the verdict;
 malformed input files and failed preconditions exit 1 with one ``ERROR:``
-line, usage errors exit 2 and exceeded caps exit 3.  All output is
-deterministic: identical inputs produce byte-identical files.
+line, usage errors and unreadable or unwritable paths exit 2 and exceeded
+caps exit 3.  All output is deterministic: identical inputs produce
+byte-identical files.  The parser is built once per process, on the first
+``main`` call, and ``build_parser`` returns that shared parser.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -43,14 +46,6 @@ THRESHOLD_KEYS = {"rule1": "rule1", "rule2-baseline": "rule2_baseline",
                   "rule3-reject": "rule3_reject"}
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
-
-
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
-
-
 @contextlib.contextmanager
 def _malformed(what: str):
     """Turn a parse failure inside the block into a one-line GraphError."""
@@ -61,6 +56,15 @@ def _malformed(what: str):
     except (KeyError, TypeError, ValueError) as err:
         raise GraphError(
             f"malformed {what}: {type(err).__name__}: {err}") from None
+
+
+def _read(path: str) -> str:
+    with _malformed(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
+def _write(path: str | Path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _load_graph(path: str) -> Graph:
@@ -215,12 +219,10 @@ def _cmd_gen_binpack(args) -> int:
         wdir = Path(args.witnesses)
         wdir.mkdir(parents=True, exist_ok=True)
         fvs = reductions.fvs_witness(li)
-        (wdir / "fvs.txt").write_text(
-            "\n".join(str(v) for v in sorted(fvs)) + "\n")
-        bags = reductions.pathwidth_witness(li)
-        (wdir / "path_decomposition.txt").write_text(
-            "\n".join(" ".join(str(v) for v in sorted(bag)) for bag in bags)
-            + "\n")
+        _write(wdir / "fvs.txt", "\n".join(str(v) for v in sorted(fvs)) + "\n")
+        bags = [" ".join(str(v) for v in sorted(bag))
+                for bag in reductions.pathwidth_witness(li)]
+        _write(wdir / "path_decomposition.txt", "\n".join(bags) + "\n")
     _report(args.report, {
         "vertices": li.graph.n,
         "edges": li.graph.m,
@@ -283,6 +285,7 @@ def _cmd_bounds(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="oneplanar",
@@ -382,7 +385,7 @@ def main(argv=None) -> int:
     except (GraphError, EmbeddingError) as err:
         print(f"ERROR: {err}", file=sys.stderr)
         return EXIT_FAIL
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"ERROR: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from oneplanar import decider
-from oneplanar.cli import main
+from oneplanar import decider, kernel
+from oneplanar.cli import build_parser, main
 from oneplanar.embedding import embedding_from_json, embedding_to_json
 from oneplanar.graph import Graph, format_edge_list, parse_edge_list
 from oneplanar.straightening import find_bw_configurations
@@ -347,14 +351,19 @@ LIFT = ["lift-bandwidth", "--graph", "@graph", "--ordering", "@bad",
 GEN_REPLACE = ["gen-replace", "--graph", "@graph", "--gadget", "@bad",
                "--out", "@out"]
 
-# name -> (argv with @placeholders, text of the @bad file)
+NOT_UTF8 = b"\xff\xfe\x00garbage"
+
+# name -> (argv with @placeholders, text or bytes of the @bad file)
 MALFORMED = {
     "edge-file": (["decide", "--in", "@bad"], "0 1\n1 x\n"),
+    "edge-file-not-utf8": (["decide", "--in", "@bad"], NOT_UTF8),
     "decomposition-file": (TD_DEC, "0 -1\n1 x\n"),
+    "decomposition-not-utf8": (TD_DEC, NOT_UTF8),
     "decomposition-foreign-parent": (TD_DEC, "0 -1\n1 0\n2 7\n"),
     "decomposition-cycle-below-root": (TD_DEC, "0 -1\n1 2\n2 1\n"),
     "decomposition-no-root": (TD_DEC, "0 1\n1 0\n2 0\n"),
     "ordering-file": (LIFT, "0 1\n1 x\n"),
+    "ordering-not-utf8": (LIFT, NOT_UTF8),
     "ordering-misses-vertex": (LIFT, "0 1\n1 2\n"),
     "items": (["gen-binpack", "--items", "3,x", "--bins", "2",
                "--capacity", "4", "--out", "@out"], None),
@@ -380,8 +389,110 @@ def test_malformed_input_exits_one_with_one_line(tmp_path, capsys, case):
     for name, text in files.items():
         if text is not None:
             paths[name] = str(tmp_path / name[1:])
-            Path(paths[name]).write_text(text)
+            Path(paths[name]).write_bytes(
+                text if isinstance(text, bytes) else text.encode())
     assert main([paths.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("ERROR: ")
+
+
+# ---------------------------------------------------------------------------
+# Error contract: a path that cannot be read or written exits 2
+# ---------------------------------------------------------------------------
+
+UNUSABLE_PATH = {
+    "input-missing": ["decide", "--in", "@missing"],
+    "input-is-directory": ["decide", "--in", "@dir"],
+    "output-is-directory": ["convex-cert", "--in", "@graph", "--out", "@dir"],
+    "witnesses-is-file": ["gen-binpack", "--items", "3,1,2,2", "--bins", "2",
+                          "--capacity", "4", "--raw", "--out", "@out",
+                          "--witnesses", "@graph"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_PATH))
+def test_unusable_path_exits_two_with_one_line(tmp_path, capsys, case):
+    graph = write_graph(tmp_path, "theta.edges", theta_graph((2, 2, 2)))
+    paths = {"@graph": graph,
+             "@dir": str(tmp_path), "@missing": str(tmp_path / "missing"),
+             "@out": str(tmp_path / "out")}
+    assert main([paths.get(a, a) for a in UNUSABLE_PATH[case]]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR: ")
+
+
+# ---------------------------------------------------------------------------
+# One parser per process, and no state carried from one call to the next
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_parser():
+    build_parser.cache_clear()
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys,
+                                       fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    theta = write_graph(tmp_path, "theta.edges", theta_graph((2, 2, 2)))
+    out = str(tmp_path / "out")
+    calls = [["decide", "--in", theta], ["td-run", "--in", theta],
+             ["bounds", "--triangulation", "5"],
+             ["convex-cert", "--in", theta, "--out", out],
+             ["kernelize", "--variant", "1p", "--in", theta, "--out", out]]
+    for argv in calls * 4:
+        assert main(argv) == 0
+    # the top parser and one parser per subcommand, all from the first call
+    assert 0 < len(built) <= 11
+
+
+def test_decide_outputs_do_not_carry_over(tmp_path, capsys, fresh_parser):
+    k4 = write_graph(tmp_path, "k4.edges", complete_graph(4))
+    k5 = write_graph(tmp_path, "k5.edges", complete_graph(5))
+    assert main(["decide", "--in", k4, "--witness", str(tmp_path / "w.json"),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["decide", "--in", k5]) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert capsys.readouterr().out.split() == ["YES", "YES"]
+
+
+def test_td_run_overrides_do_not_carry_over(tmp_path, capsys, fresh_parser):
+    graph = write_graph(tmp_path, "theta.edges", theta_graph((2, 2, 2)))
+    log = tmp_path / "log.json"
+
+    def run(*options) -> bytes:
+        assert main(["td-run", "--in", graph, "--log", str(log),
+                     *options]) == 0
+        return log.read_bytes()
+
+    overridden = run("--override-thresholds", '{"rule2-baseline": 1}')
+    after = run()
+    build_parser.cache_clear()
+    assert after == run() != overridden
+
+
+def test_bounds_options_do_not_carry_over(capsys, fresh_parser):
+    assert main(["bounds", "--triangulation", "5"]) == 0
+    assert main(["bounds", "--variant", "1p", "--ell", "2"]) == 0
+    assert capsys.readouterr().out.split() == [
+        str(kernel.triangulation_bound(5)),
+        str(kernel.worst_case_size(2, "1planar"))]
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    k4 = write_graph(tmp_path, "k4.edges", complete_graph(4))
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "oneplanar.cli", "decide", "--in", k4],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "YES\n", "")

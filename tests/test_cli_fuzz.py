@@ -1,7 +1,7 @@
 """Fuzz the input files of the CLI (pair-per-line files, and the JSON of
-embeddings, arc systems and gadgets): whatever the text, a run exits 0, 1 or
-3 and an error is one ``ERROR:`` line (``INVALID:`` for check-embedding),
-never a traceback."""
+embeddings, arc systems and gadgets): whatever the text, or bytes that need
+not be UTF-8, a run exits 0, 1 or 3 and an error is one ``ERROR:`` line
+(``INVALID:`` for check-embedding), never a traceback."""
 
 from __future__ import annotations
 
@@ -98,8 +98,9 @@ def workdir(tmp_path_factory):
     return d
 
 
-def run_on(workdir, kind: str, text: str) -> None:
-    (workdir / "fuzz").write_text(text)
+def run_on(workdir, kind: str, text: str | bytes) -> None:
+    (workdir / "fuzz").write_bytes(
+        text if isinstance(text, bytes) else text.encode())
     argv = [str(workdir / a[1:]) if a.startswith("@") else a
             for a in COMMANDS[kind]]
     out, err = io.StringIO(), io.StringIO()
@@ -128,7 +129,7 @@ def fuzz(workdir, kind: str, texts) -> None:
 
 @pytest.mark.parametrize("kind", sorted(set(COMMANDS) - set(VALID)))
 def test_pair_files_never_crash(workdir, kind):
-    fuzz(workdir, kind, TEXT)
+    fuzz(workdir, kind, TEXT | st.binary(max_size=40))
 
 
 @pytest.mark.parametrize("kind", sorted(VALID))
