@@ -1,12 +1,18 @@
 """Exhaustive deciders for k-planarity and geometric 1-planarity on small
 graphs, by enumerating crossing assignments in order of increasing size.
 
-Every assignment whose size passes the Euler bound gets one left-right
-planarity test of its planarization (``oneplanar.planarity``).  ab-shared
-and ab-outer run it with an apex vertex joined to a and b, since both need
-a face holding a and b (a drawing can put any face outside).  Only a
-geometric search skips the test, on planarizations of fewer than 9
-segments, the apex's path counted as one, which are all planar.
+The search starts at ``crossing_lower_bound`` crossings, m - floor(g(n-2)
+/ (g-2)) for girth g (the Euler bound m - 3n + 6 when g = 3, 0 for a
+forest).  Every drawing meets it, for every k and every predicate:
+deleting one edge of each of its c crossing pairs leaves a plane graph on
+the n vertices with at least m - c edges and no cycle shorter than g, and
+such a graph has at most g(n-2)/(g-2) edges.  Every assignment from the
+bound up gets one left-right planarity test of its planarization
+(``oneplanar.planarity``).  ab-shared and ab-outer run it with an apex
+vertex joined to a and b, since both need a face holding a and b (a
+drawing can put any face outside).  Only a geometric search skips the
+test, on planarizations of fewer than 9 segments, the apex's path counted
+as one, which are all planar.
 
 * A topological predicate is answered by the first assignment that passes;
   a-outer is plain 1-planarity.  The witness is the test's rotation
@@ -31,8 +37,10 @@ characterization exists there.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -98,7 +106,7 @@ class DecideStats:
     """The work of one ``decide`` call, summed over components."""
 
     assignments: int = 0  # crossing assignments generated
-    assignments_euler_skipped: int = 0  # of those, below the Euler start
+    crossing_lower_bound: int = 0  # the crossing count the search starts at
     planarity_tests: int = 0
     planarity_failed: int = 0
     density_rejections: int = 0  # components ruled out by edge density
@@ -136,6 +144,49 @@ def density_excludes(g: Graph, geometric: bool) -> bool:
     return g.m > limit
 
 
+def girth(g: Graph) -> float:
+    """The length of a shortest cycle of g; ``math.inf`` for a forest.
+
+    Triangles are looked for first, one edge at a time, since most dense
+    inputs have one.  Otherwise a breadth-first search from each vertex
+    closes a cycle at every non-tree edge; the shortest such cycle over all
+    roots is the girth.  A search stops once no shorter cycle can close,
+    and the roots run out early at a 4-cycle, the shortest one left."""
+    adj = {v: {w for w, _ in nbrs} for v, nbrs in g.adjacency.items()}
+    if any(adj[u] & adj[v] for u, v in g.edges.values()):
+        return 3
+    best = math.inf
+    for root in adj:
+        dist, parent = {root: 0}, {root: root}
+        queue = collections.deque([root])
+        while queue:
+            u = queue.popleft()
+            if 2 * dist[u] + 1 >= best:  # edges to lower levels are counted
+                break
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w], parent[w] = dist[u] + 1, u
+                    queue.append(w)
+                elif w != parent[u]:
+                    best = min(best, dist[u] + dist[w] + 1)
+        if best == 4:
+            break
+    return best
+
+
+def crossing_lower_bound(g: Graph) -> int:
+    """At least this many crossings are in every drawing of g, whatever the
+    crossings per edge: max(0, m - floor(gamma(n-2)/(gamma-2))) for the
+    girth gamma of g (see the module docstring).  A plane graph left as a
+    forest has at most n - 1 edges, and a graph with a cycle has gamma <= n,
+    so gamma(n-2)/(gamma-2) >= n covers it, and the bound is 0 when m <= n
+    without a girth."""
+    if g.m <= g.n:
+        return 0
+    gamma = girth(g)
+    return max(0, g.m - gamma * (g.n - 2) // (gamma - 2))
+
+
 # ---------------------------------------------------------------------------
 # Crossing assignments
 # ---------------------------------------------------------------------------
@@ -146,13 +197,14 @@ def _independent_pairs(g: Graph) -> list[tuple[int, int]]:
             if not set(g.edges[e]) & set(g.edges[f])]
 
 
-def enumerate_crossing_sets(g: Graph, k: int = 1) -> Iterator[CrossingAssignment]:
-    """All ways to pick pairwise-compatible crossing pairs, in order of
-    increasing crossing count.  For k=1 these are the matchings on
-    independent edge pairs; for k >= 2 multisets with per-edge multiplicity
-    <= k, each expanded with every drawing order along multiply-crossed
-    edges (canonicalized so that two crossings of the same pair keep their
-    index order along the lower edge)."""
+def enumerate_crossing_sets(g: Graph, k: int = 1, start: int = 0
+                            ) -> Iterator[CrossingAssignment]:
+    """All ways to pick pairwise-compatible crossing pairs with at least
+    ``start`` crossings, in order of increasing crossing count.  For k=1
+    these are the matchings on independent edge pairs; for k >= 2 multisets
+    with per-edge multiplicity <= k, each expanded with every drawing order
+    along multiply-crossed edges (canonicalized so that two crossings of the
+    same pair keep their index order along the lower edge)."""
     pairs = _independent_pairs(g)
     capacity = {e: k for e in g.edges}
 
@@ -201,7 +253,7 @@ def enumerate_crossing_sets(g: Graph, k: int = 1) -> Iterator[CrossingAssignment
 
         yield from rec(0, size)
 
-    size = 0
+    size = start
     while True:
         found = False
         for chosen in of_size(size):
@@ -563,16 +615,21 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
                       want_witness: bool, stats: DecideStats) -> Verdict:
     """Decide pred on a connected graph, adding the work done to ``stats``.
 
-    For k = 1 and n >= 3, assignments below ``c = m - 3n + 6`` crossings
-    are skipped: their planarization is simple, with n + c vertices and
-    m + 2c edges, so Euler's bound m + 2c <= 3(n + c) - 6 fails.
+    The enumeration starts at ``crossing_lower_bound(g)`` crossings, for
+    every k and every predicate: the planarization of a smaller assignment,
+    were it planar, would give a drawing with too few crossings, from which
+    deleting one edge of each crossing pair would leave a plane graph with
+    too many edges for its girth.  So every assignment below the bound
+    fails the planarity test, and starting there changes no answer and no
+    witness.
 
     A topological predicate takes the first assignment whose planarization
     passes the planarity test, and the test's embedding is the witness.
     Its crossings alternate without a special case: were some dummy's two
     edges to touch instead of cross, the dummy could be split in two and
     the edges uncrossed there, a planar planarization of an assignment with
-    one crossing less, which was tried before and failed."""
+    one crossing less, which was tried before and failed, or lies below the
+    bound and cannot be planar."""
     if density_excludes(g, pred.geometric) and pred.k == 1:
         stats.density_rejections += 1
         return Verdict(False, None, stats)
@@ -581,13 +638,11 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
     if g.m == 0:
         return Verdict(True, None, stats)
 
-    start = g.m - 3 * g.n + 6 if pred.k == 1 and g.n >= 3 else 0
+    start = crossing_lower_bound(g)
+    stats.crossing_lower_bound += start
     apex = pred.anchors if pred.variant in ("ab-shared", "ab-outer") else ()
-    for assignment in enumerate_crossing_sets(g, pred.k):
+    for assignment in enumerate_crossing_sets(g, pred.k, start):
         stats.assignments += 1
-        if len(assignment.pairs) < start:
-            stats.assignments_euler_skipped += 1
-            continue
         # Fewer than 9 segments, the apex's path ab counted as one, are
         # planar (K3,3 has 9); the geometric search needs no rotation.
         if (not pred.geometric

@@ -48,9 +48,10 @@ def test_decide_witness_revalidates(tmp_path, capsys):
 
 
 def test_decide_k6_plain_by_planarity_tests(tmp_path, capsys):
-    """K6 needs three crossings: the Euler start skips every smaller
-    assignment, and one planarity test per assignment replaces the rotation
-    search, so no rotation system is tried."""
+    """K6 needs three crossings: the search starts at the crossing lower
+    bound (3, Euler's), so no smaller assignment is generated, and one
+    planarity test per assignment replaces the rotation search, so no
+    rotation system is tried."""
     infile = write_graph(tmp_path, "k6.edges", complete_graph(6))
     witness, report = str(tmp_path / "w.json"), tmp_path / "r.json"
     assert main(["decide", "--in", infile, "--cap", "16", "--witness", witness,
@@ -59,8 +60,31 @@ def test_decide_k6_plain_by_planarity_tests(tmp_path, capsys):
     assert main(["check-embedding", "--in", witness]) == 0
     assert capsys.readouterr().out.startswith("OK")
     stats = json.loads(report.read_text())["stats"]
-    assert stats == {"assignments": 1120, "assignments_euler_skipped": 811,
+    assert stats == {"assignments": 309, "crossing_lower_bound": 3,
                      "planarity_tests": 309, "planarity_failed": 308,
+                     "density_rejections": 0, "insertions": 0,
+                     "rotation_systems": 0, "valid_embeddings": 1,
+                     "outer_faces_checked": 1, "bw_candidates": 0,
+                     "memo_hits": 0}
+
+
+def test_decide_k44_plain_from_girth_bound(tmp_path, capsys):
+    """K4,4 has girth 4, so every drawing has at least 16 - 12 = 4
+    crossings (its crossing number): the search starts there and answers
+    within seconds instead of testing the 28 573 smaller assignments."""
+    k44 = Graph.build([(u, v) for u in range(4) for v in range(4, 8)])
+    infile = write_graph(tmp_path, "k44.edges", k44)
+    witness, report = str(tmp_path / "w.json"), tmp_path / "r.json"
+    start = time.perf_counter()
+    assert main(["decide", "--in", infile, "--cap", "16", "--witness", witness,
+                 "--report", str(report)]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.strip() == "YES"
+    assert main(["check-embedding", "--in", witness]) == 0
+    assert capsys.readouterr().out.startswith("OK")
+    stats = json.loads(report.read_text())["stats"]
+    assert stats == {"assignments": 5390, "crossing_lower_bound": 4,
+                     "planarity_tests": 5390, "planarity_failed": 5389,
                      "density_rejections": 0, "insertions": 0,
                      "rotation_systems": 0, "valid_embeddings": 1,
                      "outer_faces_checked": 1, "bw_candidates": 0,

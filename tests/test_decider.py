@@ -233,10 +233,10 @@ def test_memo_hit_keeps_requested_witness():
                   want_witness=False).witness is None  # a real hit
 
 
-def _stats(assignments, skipped, tests, failed, systems, valid, outer,
+def _stats(assignments, bound, tests, failed, systems, valid, outer,
            hits=0, insertions=0, bw=0) -> DecideStats:
     return DecideStats(
-        assignments=assignments, assignments_euler_skipped=skipped,
+        assignments=assignments, crossing_lower_bound=bound,
         planarity_tests=tests, planarity_failed=failed,
         insertions=insertions, rotation_systems=systems,
         valid_embeddings=valid, outer_faces_checked=outer, bw_candidates=bw,
@@ -245,34 +245,37 @@ def _stats(assignments, skipped, tests, failed, systems, valid, outer,
 
 def test_decide_stats_record():
     k5, k34 = complete_graph(5), complete_bipartite(3, 4)
-    # K5 (m=10, n=5) starts at one crossing; its first assignment is planar
-    assert decide(k5, Predicate()).stats == _stats(2, 1, 1, 0, 0, 1, 1)
+    # K5 (m=10, n=5, girth 3) starts at one crossing, the Euler bound; its
+    # first assignment is planar
+    assert decide(k5, Predicate()).stats == _stats(1, 1, 1, 0, 0, 1, 1)
     # face insertion builds its one genus-0 system (up to reflection) in 15
     # insertion steps; the B/W check builds 4 candidates
     assert decide(k5, Predicate(geometric=True)).stats == \
-        _stats(2, 1, 1, 0, 1, 1, 5, insertions=15, bw=4)
-    # K3,4 needs two crossings: 44 of its 45 assignments fail the test
+        _stats(1, 1, 1, 0, 1, 1, 5, insertions=15, bw=4)
+    # K3,4 (m=12, n=7, girth 4) starts at 12 - 10 = 2 crossings, its
+    # crossing number: 7 of the 8 two-crossing assignments fail the test
     assert decide(k34, Predicate(), cap=12).stats == \
-        _stats(45, 0, 45, 44, 0, 1, 1)
+        _stats(8, 2, 8, 7, 0, 1, 1)
     v = decide(k34, Predicate(geometric=True), cap=12)
-    assert v.stats == _stats(45, 0, 45, 44, 1, 1, 4, insertions=21, bw=5)
+    assert v.stats == _stats(8, 2, 8, 7, 1, 1, 4, insertions=21, bw=5)
     assert v.embeddings_enumerated == 1
     # opposite octahedron vertices share no face of its plane embedding: with
-    # the apex on them, every assignment below two crossings fails the test
+    # the apex on them, every assignment below two crossings fails the test;
+    # the plane octahedron has girth 3 and 3n - 6 = m edges, so the bound is 0
     octahedron = Graph.build([(u, v) for u in range(6) for v in range(u + 1, 6)
                               if u // 2 != v // 2])
     assert decide(octahedron, Predicate("ab-outer", a=0, b=1),
                   cap=12).stats == _stats(63, 0, 63, 62, 0, 1, 2)
-    # components are summed: K5 as above, K3,3 after one failed test
+    # components are summed: K5 as above, K3,3 (girth 4) from its bound 1
     two = Graph.build([*k5.edges.values(),
                        *((u + 5, v + 5) for u, v in
                          complete_bipartite(3, 3).edges.values())])
-    assert decide(two, Predicate()).stats == _stats(4, 1, 3, 1, 0, 2, 2)
+    assert decide(two, Predicate()).stats == _stats(2, 2, 2, 0, 0, 2, 2)
     # a memo hit is counted as a hit, not as zero work
     memo: dict = {}
     first = decide(k5, Predicate(geometric=True), memo=memo,
                    want_witness=False)
-    assert first.stats == _stats(2, 1, 1, 0, 1, 1, 5, insertions=15, bw=4)
+    assert first.stats == _stats(1, 1, 1, 0, 1, 1, 5, insertions=15, bw=4)
     hit = decide(complete_graph(5), Predicate(geometric=True), memo=memo,
                  want_witness=False)
     assert hit.answer and hit.stats == _stats(0, 0, 0, 0, 0, 0, 0, hits=1)
