@@ -31,7 +31,7 @@ from .graph import (
     LinearOrdering,
     format_edge_list,
     parse_edge_list,
-    parse_int_pairs,
+    parse_vertex_map,
 )
 
 EXIT_OK = 0
@@ -79,8 +79,7 @@ def _load_gadget(path: str) -> reductions.TwoTerminalGadget:
 
 
 def _load_ordering(path: str) -> LinearOrdering:
-    pairs = parse_int_pairs(_read(path), "vertex position")
-    return LinearOrdering(dict(pairs))
+    return LinearOrdering(parse_vertex_map(_read(path), "vertex position"))
 
 
 def _load_thresholds(text: str) -> td_pipeline.Thresholds:

@@ -201,10 +201,7 @@ def degree2_walks(g: Graph, edges: Iterable[int], inner: Container[int]
 # Text formats: one pair of integers per line
 # ---------------------------------------------------------------------------
 
-def parse_int_pairs(text: str, form: str) -> list[tuple[int, int]]:
-    """One pair of integers per line, '#' comments and blank lines ignored;
-    ``form`` names the pair in the error message (e.g. 'u v')."""
-    pairs = []
+def _int_pair_lines(text: str, form: str) -> Iterable[tuple[int, int, int]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -214,8 +211,24 @@ def parse_int_pairs(text: str, form: str) -> list[tuple[int, int]]:
         except ValueError:
             raise GraphError(
                 f"line {lineno}: expected '{form}', got {raw!r}") from None
-        pairs.append((u, v))
-    return pairs
+        yield lineno, u, v
+
+
+def parse_int_pairs(text: str, form: str) -> list[tuple[int, int]]:
+    """One pair of integers per line, '#' comments and blank lines ignored;
+    ``form`` names the pair in the error message (e.g. 'u v')."""
+    return [(u, v) for _, u, v in _int_pair_lines(text, form)]
+
+
+def parse_vertex_map(text: str, form: str) -> dict[int, int]:
+    """The pairs of ``parse_int_pairs`` as a map from the first integer, a
+    vertex, to the second; a vertex on two lines is an error."""
+    out: dict[int, int] = {}
+    for lineno, v, x in _int_pair_lines(text, form):
+        if v in out:
+            raise GraphError(f"line {lineno}: vertex {v} listed twice")
+        out[v] = x
+    return out
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -57,7 +57,7 @@ from .graph import (
     GraphError,
     TreedepthDecomposition,
     block_cut_tree,
-    parse_int_pairs,
+    parse_vertex_map,
     treedepth_decomposition,
 )
 
@@ -141,8 +141,7 @@ class PipelineOutcome:
 
 def parse_decomposition(text: str) -> TreedepthDecomposition:
     """One "vertex parent" pair per line, roots marked with parent -1."""
-    return TreedepthDecomposition(
-        dict(parse_int_pairs(text, "vertex parent")))
+    return TreedepthDecomposition(parse_vertex_map(text, "vertex parent"))
 
 
 def normalize_decomposition(g: Graph, t: TreedepthDecomposition

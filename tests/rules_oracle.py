@@ -16,11 +16,16 @@
   re-picked the deepest unvisited cut vertex after every Rule III call.
   The fixpoint rebuilds its decomposition after every move, and its split
   re-parents every vertex of a component whose parent lies outside it,
-  which can make two adjacent vertices siblings.
+  which can make two adjacent vertices siblings;
+* ``canonical_key`` is the memo key that came before the breadth-first
+  relabeling: colour refinement, then the least edge list over the
+  orderings within colour classes, or the labeled graph when there are more
+  than 1000 of them.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional
 
 from oneplanar import decider
@@ -268,3 +273,47 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
     except CapExceeded:
         return td._outcome(ctx, "reduced", None)
     return td._outcome(ctx, "decided", answer)
+
+
+# ---------------------------------------------------------------------------
+# The memo key
+# ---------------------------------------------------------------------------
+
+def canonical_key(g: Graph, anchors: tuple[int, ...] = ()):
+    """Isomorphism-invariant key for (g, anchors); falls back to the labeled
+    key when tie-breaking would exceed 1000 orderings."""
+    verts = sorted(g.vertices)
+    color = {v: (anchors.index(v) + 1 if v in anchors else 0, g.degree(v))
+             for v in verts}
+    for _ in range(g.n):
+        ranks = {c: i for i, c in enumerate(sorted(set(color.values())))}
+        nxt = {v: (ranks[color[v]],
+                   tuple(sorted(ranks[color[w]] for w in g.neighbors(v))))
+               for v in verts}
+        if len(set(nxt.values())) == len(set(color.values())):
+            color = nxt
+            break
+        color = nxt
+
+    classes: dict = {}
+    for v in verts:
+        classes.setdefault(color[v], []).append(v)
+    ordered = [classes[c] for c in sorted(classes)]
+    work = 1
+    for cls in ordered:
+        for i in range(2, len(cls) + 1):
+            work *= i
+        if work > 1000:
+            return ("labeled", frozenset(g.edges.values()), anchors)
+
+    best = None
+    for perms in itertools.product(*(itertools.permutations(c) for c in ordered)):
+        idx = {}
+        for cls in perms:
+            for v in cls:
+                idx[v] = len(idx)
+        sig = tuple(sorted(tuple(sorted((idx[u], idx[v])))
+                           for u, v in g.edges.values()))
+        if best is None or sig < best[0]:
+            best = (sig, tuple(idx[a] for a in anchors))
+    return ("canon", g.n) + best

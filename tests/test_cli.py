@@ -386,9 +386,11 @@ MALFORMED = {
     "decomposition-foreign-parent": (TD_DEC, "0 -1\n1 0\n2 7\n"),
     "decomposition-cycle-below-root": (TD_DEC, "0 -1\n1 2\n2 1\n"),
     "decomposition-no-root": (TD_DEC, "0 1\n1 0\n2 0\n"),
+    "decomposition-duplicate-vertex": (TD_DEC, "0 -1\n1 0\n2 0\n2 1\n"),
     "ordering-file": (LIFT, "0 1\n1 x\n"),
     "ordering-not-utf8": (LIFT, NOT_UTF8),
     "ordering-misses-vertex": (LIFT, "0 1\n1 2\n"),
+    "ordering-duplicate-vertex": (LIFT, "0 3\n1 2\n2 3\n0 1\n"),
     "items": (["gen-binpack", "--items", "3,x", "--bins", "2",
                "--capacity", "4", "--out", "@out"], None),
     "thresholds-syntax": (TD_RUN + ["{rule1: 1"], None),

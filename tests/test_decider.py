@@ -161,7 +161,7 @@ def test_k2_embedding_round_trip():
     g = Graph.build([(0, 1), (2, 3)])
     double = [a for a in enumerate_crossing_sets(g, k=2)
               if len(a.pairs) == 2][0]
-    emb = next(iter(enumerate_embeddings(g, double, k=2)))
+    emb = next(iter(enumerate_embeddings(g, double)))
     blob = embedding_to_json(emb)
     assert "edge_crossing_order" in blob
     again = embedding_to_json(embedding_from_json(blob, k=2))
@@ -318,6 +318,85 @@ def test_canonical_key_isomorphism_invariant():
     g2 = Graph.build([(7, 5), (5, 9), (9, 4)])
     assert canonical_key(g1, (0,)) == canonical_key(g2, (7,))
     assert canonical_key(g1, (0,)) != canonical_key(g2, (9,))
+
+
+def relabeled(g: Graph, anchors: tuple[int, ...], ids: list[int]):
+    """(g, anchors) with the i-th smallest vertex renamed ids[i]."""
+    name = dict(zip(sorted(g.vertices), ids))
+    return (Graph.build([(name[u], name[v]) for u, v in g.edges.values()],
+                        vertices=name.values()),
+            tuple(name[a] for a in anchors))
+
+
+def key_cases(rng, count: int):
+    """Seeded graphs on 1 to 8 vertices, isolated vertices allowed, with 0, 1
+    or 2 anchors; each comes with three random relabelings onto ids below 20
+    and one increasing relabeling, so some keys are shared."""
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        density = rng.random()
+        g = Graph.build([p for p in itertools.combinations(range(n), 2)
+                         if rng.random() < density], vertices=range(n))
+        anchors = tuple(rng.sample(range(n), min(n, rng.randint(0, 2))))
+        yield [relabeled(g, anchors, rng.sample(range(20), n))
+               for _ in range(3)] + [
+                   relabeled(g, anchors, sorted(rng.sample(range(20), n)))]
+
+
+def keyed(rng, count: int) -> list[list[tuple[Graph, tuple[int, ...]]]]:
+    """The cases of ``key_cases`` grouped by key; the groups of two or more."""
+    groups: dict = {}
+    for case in key_cases(rng, count):
+        for g, anchors in case:
+            groups.setdefault(canonical_key(g, anchors), []).append(
+                (g, anchors))
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def test_canonical_key_equal_only_on_anchored_isomorphism(rng):
+    """Soundness: graphs with one key are isomorphic by a map that takes the
+    anchors to the anchors in order, so a memo hit never changes an
+    answer."""
+    nx = pytest.importorskip("networkx")
+
+    def nx_graph(g, anchors):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices, anchor=-1)
+        h.add_edges_from(g.edges.values())
+        for i, a in enumerate(anchors):
+            h.nodes[a]["anchor"] = i
+        return h
+
+    groups = keyed(rng, 300)
+    for group in groups:
+        first = nx_graph(*group[0])
+        for other in group[1:]:
+            assert nx.is_isomorphic(
+                first, nx_graph(*other),
+                node_match=lambda x, y: x["anchor"] == y["anchor"])
+    assert sum(len(group) for group in groups) >= 600
+
+
+def test_canonical_key_ignores_increasing_relabelings(rng):
+    for case in key_cases(rng, 300):
+        g, anchors = case[0]
+        for _ in range(3):
+            ids = sorted(rng.sample(range(40), g.n))
+            assert canonical_key(*relabeled(g, anchors, ids)) == \
+                canonical_key(g, anchors)
+
+
+def test_canonical_key_equal_implies_old_key_equal(rng):
+    """Where the breadth-first keys are equal, so are the old
+    colour-refinement keys, except those that fell back to the labeled
+    graph."""
+    shared = 0
+    for group in keyed(rng, 300):
+        old = {oracle.canonical_key(g, anchors) for g, anchors in group}
+        old = {key for key in old if key[0] != "labeled"}
+        assert len(old) <= 1
+        shared += bool(old)
+    assert shared >= 150
 
 
 def test_accepted_outer_matches_the_two_branch_loop(rng):

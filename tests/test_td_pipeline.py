@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from oneplanar import decider
 from oneplanar.cli import main
 from oneplanar.decider import CapExceeded, Predicate, decide
 from oneplanar.graph import (
@@ -524,6 +525,36 @@ def test_pipeline_matches_old_code_where_old_normalization_is_valid(
         seen.update((ev.get("rule"), ev["action"]) for ev in got.log)
     assert compared >= 250
     assert seen >= {("II", "delete"), ("III", "delete"), ("III", "reject")}
+
+
+def test_memo_key_leaves_pipeline_outcomes_unchanged(rng, monkeypatch):
+    """With the decider as oracle, the breadth-first memo key and the old
+    colour-refinement key give the same outcome on the rule test instances
+    and on K2,N+ab for N in 20-60; on K2,N+ab, whose children differ by an
+    increasing relabeling, the memo ends with as many entries under both."""
+    def run(g, dec, thresholds, key):
+        memos = []
+
+        def oracle_keeping_memos(g, pred, memo=None, **kwargs):
+            memos.append(memo)
+            return decide(g, pred, memo=memo, **kwargs)
+
+        monkeypatch.setattr(decider, "canonical_key", key)
+        out = run_pipeline(g, dec, thresholds, oracle_keeping_memos)
+        entries = sum(len(m) for m in {id(m): m for m in memos}.values())
+        return (out.result, out.answer, out.oracle_calls, out.log,
+                out.graph.vertices), entries
+
+    new_key = decider.canonical_key
+    for g, dec, thresholds in rule_test_instances(rng, 225):
+        assert run(g, dec, thresholds, new_key)[0] == \
+            run(g, dec, thresholds, oracle.canonical_key)[0]
+    for n in range(20, 61):
+        g = Graph.build([(0, 1)] + list(complete_bipartite(2, n).edges.values()))
+        dec = TreedepthDecomposition(
+            {0: -1, 1: 0, **{v: 1 for v in range(2, n + 2)}})
+        assert run(g, dec, None, new_key) == \
+            run(g, dec, None, oracle.canonical_key)
 
 
 def test_rule_two_block_test_sees_the_deletions_before_it():
