@@ -272,11 +272,11 @@ def enumerate_crossing_sets(g: Graph, k: int = 1, start: int = 0
 _NEW, _FREE, _ALTERNATE = range(3)  # the modes of a segment end
 
 
-def _insertion_steps(plan: Planarization, comp: frozenset[int],
-                     dummies: set[int], pin: bool
+def _insertion_steps(plan: Planarization, dummies: set[int]
                      ) -> list[tuple[int, int, int, int, int]]:
-    """The order in which one component's segments are inserted, as steps
-    ``(dart at origin, twin, mode at origin, mode at target, pin)``.
+    """The order in which the segments of a connected planarization are
+    inserted, as steps ``(dart at origin, twin, mode at origin, mode at
+    target, pin)``.
 
     Nodes join by maximum-cardinality search from a node of largest degree:
     the next node is the one with the most segments to placed nodes.  One of
@@ -284,19 +284,21 @@ def _insertion_steps(plan: Planarization, comp: frozenset[int],
     fewest placed darts; the rest follow at once as chords, so every segment
     touches what is placed, and chords come before the next pendant.  An
     end's mode is ``_NEW`` when its node has no dart yet, ``_ALTERNATE``
-    when it is the fourth dart of a dummy, and ``_FREE`` otherwise.  With
-    ``pin``, the first dart to be a node's third gets as ``pin`` the node's
-    second dart, which it must be inserted before."""
+    when it is the fourth dart of a dummy, and ``_FREE`` otherwise.  The
+    first dart to be a node's third gets as ``pin`` the node's second dart,
+    which it must be inserted before; a planarization with no node of
+    degree 3 or more has no pin."""
     node_darts = plan.node_darts
-    start = min(comp, key=lambda v: (-len(node_darts[v]), v))
-    placed_darts: dict[int, list[int]] = {v: [] for v in comp}
-    reach = dict.fromkeys(comp, 0)  # segments to placed nodes
+    start = min(node_darts, key=lambda v: (-len(node_darts[v]), v))
+    placed_darts: dict[int, list[int]] = {v: [] for v in node_darts}
+    reach = dict.fromkeys(node_darts, 0)  # segments to placed nodes
     placed = {start}
     for d in node_darts[start]:
         reach[plan.target(d)] += 1
     steps: list[tuple[int, int, int, int, int]] = []
-    while len(placed) < len(comp):
-        w = max((v for v in comp if v not in placed),
+    pin = True
+    while len(placed) < len(node_darts):
+        w = max((v for v in node_darts if v not in placed),
                 key=lambda v: (reach[v], -v))
         into = sorted((d ^ 1 for d in node_darts[w] if plan.target(d) in placed),
                       key=lambda d: (len(placed_darts[plan.origin(d)]), d))
@@ -323,26 +325,37 @@ def _insertion_steps(plan: Planarization, comp: frozenset[int],
     return steps
 
 
-def _component_rotations(skeleton: PlaneEmbedding, comp: frozenset[int],
-                         pin: bool, stats: DecideStats
-                         ) -> Iterator[dict[int, tuple[int, ...]]]:
-    """Every genus-0 rotation system of one component of the skeleton's
-    planarization whose dummies alternate, each rotation listed from its
-    node's smallest dart; with ``pin``, one of each mirror pair.
+def _rotations(skeleton: PlaneEmbedding, stats: DecideStats
+               ) -> Iterator[dict[int, tuple[int, ...]]]:
+    """Every genus-0 rotation system of the skeleton's planarization, which
+    must be connected, whose dummies alternate, up to reflection; each
+    rotation is listed from its node's smallest dart.
 
     The segments go in one at a time (``_insertion_steps``).  A pendant
     segment may go into any corner of its placed end.  A chord may go only
     into two corners of one face, which it splits; a chord across two faces
     would raise the genus, and the genus never drops again, so no partial
     map off genus 0 is built.  A dummy's fourth dart must go between the
-    two darts of one edge.  Every system arises from exactly one sequence
-    of corners, and each corner taken is an insertion step of ``stats``;
-    passing ``INSERTION_BUDGET`` raises ``CapExceeded``."""
+    two darts of one edge.  The pin keeps one of each mirror pair, so every
+    system arises from exactly one sequence of corners; the system is then
+    read off in the mirror image that fixes the reflection at a pivot: the
+    real node of largest degree (at least 3, smallest id on ties), else the
+    first dummy, whose second dart must be smaller than its last.  Each
+    corner taken is an insertion step of ``stats`` and each system built
+    is counted there; passing ``INSERTION_BUDGET`` raises ``CapExceeded``.
+    The search keeps an explicit stack, so a long path does not recurse."""
     plan = skeleton.planarization
+    node_darts = plan.node_darts
+    nodes = sorted(node_darts)
+    dummies = [c.dummy for c in skeleton.crossings]
+    dummy_set = set(dummies)
+    eligible = [v for v in nodes
+                if len(node_darts[v]) >= 3 and v not in dummy_set]
+    pivot = (max(eligible, key=lambda v: (len(node_darts[v]), -v))
+             if eligible else dummies[0] if dummies else None)
     origin = [plan.origin(d) for d in range(plan.dart_count)]
     edge = [skeleton.edge_of(d) for d in range(plan.dart_count)]
-    steps = _insertion_steps(plan, comp,
-                             {c.dummy for c in skeleton.crossings}, pin)
+    steps = _insertion_steps(plan, dummy_set)
     first: dict[int, int] = {}  # the first dart placed at each node
     for step in steps:
         for d in step[:2]:
@@ -418,71 +431,33 @@ def _component_rotations(skeleton: PlaneEmbedding, comp: frozenset[int],
         if i + 1 < len(steps):
             pending.append(iter(options(steps[i + 1])))
             continue
+        turn = succ
+        if pivot is not None:
+            p = node_darts[pivot][0]
+            if succ[p] > pred[p]:
+                turn = pred
         rotation = {}
-        for v in comp:
-            d = head = plan.node_darts[v][0]
+        for v in nodes:
+            d = head = node_darts[v][0]
             rot = []
             while True:
                 rot.append(d)
-                d = succ[d]
+                d = turn[d]
                 if d == head:
                     break
             rotation[v] = tuple(rot)
+        stats.rotation_systems += 1
         yield rotation
 
 
-def _system_iter(g: Graph, assignment: CrossingAssignment,
-                 stats: Optional[DecideStats] = None
+def _system_iter(skeleton: PlaneEmbedding, stats: DecideStats
                  ) -> Iterator[PlaneEmbedding]:
-    """Yield one PlaneEmbedding per genus-0 rotation system with proper
-    (alternating) crossings, up to reflection; the outer dart is a
-    placeholder.  Each system built is counted in ``stats``.
-
-    Each component's systems come from ``_component_rotations``.  The
-    reflection is pinned at a pivot: the real node of largest degree (at
-    least 3, smallest id on ties), else the first dummy.  Its rotation,
-    listed from its smallest dart, must have a second dart smaller than
-    its last; the pivot's component is built with one of each mirror pair
-    and mirrored where the pivot disagrees.  Up to ``SORTED_SYSTEMS``
-    systems are yielded in the order of the product of per-node rotations
-    listed from their smallest darts, as lexicographic tuples; more stream
-    in build order."""
-    if not g.edges:
-        return
-    if stats is None:
-        stats = DecideStats()
-    skeleton = unrotated_embedding(g, assignment.pairs, assignment.edge_order)
-    plan = skeleton.planarization
-    node_darts = plan.node_darts
-    nodes = sorted(node_darts)
-    dummies = [c.dummy for c in skeleton.crossings]
-    dummy_set = set(dummies)
-    eligible = [v for v in nodes
-                if len(node_darts[v]) >= 3 and v not in dummy_set]
-    pivot = (max(eligible, key=lambda v: (len(node_darts[v]), -v))
-             if eligible else dummies[0] if dummies else None)
-
-    parts = []
-    for comp in plan.components:
-        part = _component_rotations(skeleton, comp, pivot in comp, stats)
-        if pivot in comp:
-            part = (rot if rot[pivot][1] < rot[pivot][-1] else
-                    {v: r[:1] + r[:0:-1] for v, r in rot.items()}
-                    for rot in part)
-        parts.append(part)
-    first, *others = parts
-    others = [list(part) for part in others]
-
-    def merged() -> Iterator[dict[int, tuple[int, ...]]]:
-        for rot in first:
-            for rest in itertools.product(*others):
-                stats.rotation_systems += 1
-                out = dict(rot)
-                for part in rest:
-                    out.update(part)
-                yield out
-
-    systems = merged()
+    """Yield one PlaneEmbedding per system of ``_rotations``; the outer dart
+    is a placeholder.  Up to ``SORTED_SYSTEMS`` systems are yielded in the
+    order of the product of per-node rotations listed from their smallest
+    darts, as lexicographic tuples; more stream in build order."""
+    nodes = sorted(skeleton.planarization.node_darts)
+    systems = _rotations(skeleton, stats)
     head = list(itertools.islice(systems, SORTED_SYSTEMS + 1))
     if len(head) <= SORTED_SYSTEMS:
         head.sort(key=lambda rot: [rot[v] for v in nodes])
@@ -522,14 +497,20 @@ def _test_rotation(skeleton: PlaneEmbedding, apex: tuple[int, ...] = ()
             for i, v in enumerate(nodes)}
 
 
-def enumerate_embeddings(g: Graph, crossings,
-                         edge_order=None) -> Iterator[PlaneEmbedding]:
-    """All valid embeddings for the given crossing assignment, paired with
-    every choice of outer face."""
+def enumerate_embeddings(g: Graph, crossings) -> Iterator[PlaneEmbedding]:
+    """All valid embeddings of g with the given crossings, a
+    ``CrossingAssignment`` or a list of edge pairs, each paired with every
+    choice of outer face.  The drawing must be connected: the crossings may
+    join components of g, but a planarization with two components raises
+    ``GraphError``.  An edgeless graph has no embedding to yield."""
     assignment = (crossings if isinstance(crossings, CrossingAssignment)
-                  else CrossingAssignment(tuple(tuple(c) for c in crossings),
-                                          dict(edge_order or {})))
-    for emb in _system_iter(g, assignment):
+                  else CrossingAssignment(tuple(tuple(c) for c in crossings)))
+    if not g.edges:
+        return
+    skeleton = unrotated_embedding(g, assignment.pairs, assignment.edge_order)
+    if len(skeleton.planarization.components) > 1:
+        raise GraphError("enumerate_embeddings needs a connected drawing")
+    for emb in _system_iter(skeleton, DecideStats()):
         for cyc in emb.planarization.faces:
             yield dataclasses.replace(emb, outer=cyc[0])
 
@@ -571,7 +552,7 @@ def canonical_key(g: Graph, anchors: tuple[int, ...] = ()):
 # ---------------------------------------------------------------------------
 
 def _accepted_outer(emb: PlaneEmbedding, pred: Predicate,
-                    stats: Optional[DecideStats] = None) -> Optional[int]:
+                    stats: DecideStats) -> Optional[int]:
     """The first face of emb that may be outer under pred, or None.
 
     ab-shared needs some face holding both anchors and then accepts any
@@ -588,11 +569,9 @@ def _accepted_outer(emb: PlaneEmbedding, pred: Predicate,
     else:
         outer_anchors = pred.anchors
     cands = candidate_configurations(emb) if pred.geometric else []
-    if stats is not None:
-        stats.bw_candidates += len(cands)
+    stats.bw_candidates += len(cands)
     for f, fv in enumerate(fverts):
-        if stats is not None:
-            stats.outer_faces_checked += 1
+        stats.outer_faces_checked += 1
         if (all(x in fv for x in outer_anchors)
                 and not any(c.is_configuration(f) for c in cands)):
             return f
@@ -631,18 +610,18 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
     apex = pred.anchors if pred.variant in ("ab-shared", "ab-outer") else ()
     for assignment in enumerate_crossing_sets(g, pred.k, start):
         stats.assignments += 1
+        skeleton = unrotated_embedding(g, assignment.pairs,
+                                       assignment.edge_order)
         # Fewer than 9 segments, the apex's path ab counted as one, are
         # planar (K3,3 has 9); the geometric search needs no rotation.
         if (not pred.geometric
                 or g.m + 2 * len(assignment.pairs) + bool(apex) >= 9):
-            skeleton = unrotated_embedding(g, assignment.pairs,
-                                           assignment.edge_order)
             stats.planarity_tests += 1
             rotation = _test_rotation(skeleton, apex)
             if rotation is None:
                 stats.planarity_failed += 1
                 continue
-        embs = (_system_iter(g, assignment, stats) if pred.geometric else
+        embs = (_system_iter(skeleton, stats) if pred.geometric else
                 [dataclasses.replace(skeleton, rotation=rotation, outer=0)])
         for emb in embs:
             stats.valid_embeddings += 1

@@ -11,6 +11,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Collection, Container, Iterable, Optional
 
+# The most vertices ``treedepth_decomposition`` searches; past it, callers
+# supply a decomposition.
+TREEDEPTH_CAP = 20
+
 
 class GraphError(ValueError):
     """Raised when a graph invariant or operation precondition is violated."""
@@ -503,14 +507,13 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     return BlockCutTree(blocks, frozenset(cuts))
 
 
-def treedepth_decomposition(g: Graph, budget: Optional[int] = None,
-                            cap: int = 20) -> Optional[TreedepthDecomposition]:
+def treedepth_decomposition(g: Graph) -> TreedepthDecomposition:
     """Minimum-depth treedepth decomposition by exhaustive search with
-    memoization over vertex subsets.  Returns None if the minimum exceeds
-    ``budget``.  Inputs above ``cap`` vertices are rejected; callers may
-    supply a decomposition instead."""
-    if g.n > cap:
-        raise GraphError(f"treedepth search capped at {cap} vertices (n={g.n})")
+    memoization over vertex subsets.  Inputs above ``TREEDEPTH_CAP``
+    vertices are rejected; callers may supply a decomposition instead."""
+    if g.n > TREEDEPTH_CAP:
+        raise GraphError(f"treedepth search capped at {TREEDEPTH_CAP} "
+                         f"vertices (n={g.n})")
 
     memo: dict[frozenset[int], int] = {}
     choice: dict[frozenset[int], int] = {}
@@ -538,10 +541,6 @@ def treedepth_decomposition(g: Graph, budget: Optional[int] = None,
         memo[vs] = best
         choice[vs] = best_v
         return best
-
-    overall = max((td(c) for c in comps(g.vertices)), default=0)
-    if budget is not None and overall > budget:
-        return None
 
     parent: dict[int, int] = {}
 

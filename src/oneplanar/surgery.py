@@ -252,7 +252,7 @@ class Arrangement:
             return curve.tail if marker[2] == _END0 else curve.head
         return self.passage_node[marker]
 
-    def planarization(self) -> tuple[Planarization, dict[tuple, int]]:
+    def planarization(self) -> Planarization:
         seg_index: dict[tuple, int] = {}
         segments = []
         for cid in sorted(self.curves):
@@ -291,24 +291,17 @@ class Arrangement:
                     darts.append(dart_for(path[-1], path[-2]))
             rotation[v] = darts
 
-        plan = Planarization(tuple(segments),
+        return Planarization(tuple(segments),
                              {n: tuple(r) for n, r in rotation.items()})
-        return plan, seg_index
 
     def validate(self) -> None:
-        plan, _ = self.planarization()
+        plan = self.planarization()
         plan._face_next
         plan.check_genus_zero()
         for node, rot in self.node_rot.items():
             pids = [p for p, _ in rot]
             if pids[0] == pids[1] or pids[1] == pids[2]:
                 raise GraphError(f"crossing {node} lost alternation")
-
-    def outer_face(self, plan: Planarization, seg_index) -> int:
-        a, b = self.outer_key
-        if (a, b) in seg_index:
-            return plan.face_of[2 * seg_index[(a, b)]]
-        return plan.face_of[2 * seg_index[(b, a)] + 1]
 
     # -- queries -----------------------------------------------------------------
 

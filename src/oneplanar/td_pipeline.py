@@ -14,8 +14,10 @@ exercised at all on instances small enough for the brute-force oracle.
 tree, whose subtrees are connected, before the graph is split into
 components; each tree then spans one component.  Phase II visits the cut
 vertices of the block forest Phase I leaves once each, deepest first, then
-by label: Rule III at v deletes only blocks below v, whose cut vertices
-come earlier, and no other cut vertex changes its depth or cut status.
+by label, and reads every branch from that one forest: Rule III at v
+deletes only blocks below v, whose cut vertices come earlier, and no other
+cut vertex changes its depth or cut status, so a branch of that forest
+less the deleted vertices is the branch a fresh forest would give.
 
 Structure is derived once per mutation, not once per query.  `TDContext`
 caches it keyed on the identity of ``ctx.graph`` and ``ctx.decomposition``;
@@ -25,8 +27,7 @@ invalidates the cache.  Two things are cached:
 * the block forest of the graph: the block-cut tree of every component,
   rooted at its smallest cut vertex, with the blocks holding each vertex.
   It answers "do a and b lie in a common block?" for Phase I and
-  `rules_apply_below`, and gives Phase II and `apply_rule3` their cut
-  vertices and branches;
+  `rules_apply_below`, and gives Phase II its cut vertices and branches;
 * the attachment set of every decomposition node, bottom-up:
   att(c) = (N(c) | union of att(children)) - desc(c), which on a valid
   decomposition is ((N(c) & anc(c)) | union of att(children)) - {c};
@@ -423,14 +424,15 @@ def _branch(forest: _BlockForest, v: int, block: int) -> frozenset[int]:
     return frozenset(x for bi in in_tree for x in forest.blocks[bi])
 
 
-def apply_rule3(ctx: TDContext, v: int) -> str:
-    """At cut vertex v, oracle-test each child subgraph (union of blocks
-    below one incident block) for v-outer geometric 1-planarity; delete the
-    yes children; reject when too many no children survive."""
-    forest = ctx.blocks()
+def apply_rule3(ctx: TDContext, forest: _BlockForest, v: int) -> str:
+    """At cut vertex v of ``forest``, oracle-test each child subgraph (union
+    of blocks below one incident block, less the vertices no longer in the
+    graph) for v-outer geometric 1-planarity; delete the yes children;
+    reject when too many no children survive."""
     if v not in forest.child_blocks:
         return "noop"
-    tested = (({"cut": v}, _branch(forest, v, bi) - {v})
+    tested = (({"cut": v},
+               (_branch(forest, v, bi) & ctx.graph.vertices) - {v})
               for bi in sorted(forest.child_blocks[v],
                                key=lambda i: sorted(forest.blocks[i])))
     return _filter_children(ctx, "III", {"cut": v},
@@ -493,9 +495,10 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
                 return _outcome(ctx, "rejected", False)
 
     # Phase II: Rule III bottom-up over the block-cut trees, in one order
-    depth = ctx.blocks().depth
+    forest = ctx.blocks()
+    depth = forest.depth
     for v in sorted(depth, key=lambda c: (-depth[c], c)):
-        if apply_rule3(ctx, v) == "rejected":
+        if apply_rule3(ctx, forest, v) == "rejected":
             return _outcome(ctx, "rejected", False)
 
     # final decision on the reduced instance

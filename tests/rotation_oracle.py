@@ -21,6 +21,7 @@ from typing import Iterator, Optional
 from oneplanar.decider import (
     CapExceeded,
     CrossingAssignment,
+    DecideStats,
     Predicate,
     _accepted_outer,
     density_excludes,
@@ -128,7 +129,7 @@ def decide_connected(g: Graph, pred: Predicate, cap: int,
     for assignment in enumerate_crossing_sets(g, pred.k):
         for emb in system_iter(g, assignment):
             count += 1
-            outer = _accepted_outer(emb, pred)
+            outer = _accepted_outer(emb, pred, DecideStats())
             if outer is None:
                 continue
             witness = None

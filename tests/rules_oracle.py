@@ -264,7 +264,7 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
             break
         v = max(todo, key=lambda c: (depth[c], -c))
         processed.add(v)
-        if td.apply_rule3(ctx, v) == "rejected":
+        if td.apply_rule3(ctx, ctx.blocks(), v) == "rejected":
             return td._outcome(ctx, "rejected", False)
 
     # final decision on the reduced instance

@@ -17,7 +17,7 @@ from oneplanar.decider import (
     enumerate_crossing_sets,
     enumerate_embeddings,
 )
-from oneplanar.embedding import validate_embedding
+from oneplanar.embedding import unrotated_embedding, validate_embedding
 from oneplanar.graph import Graph, GraphError
 from oneplanar.straightening import is_straightenable
 
@@ -74,6 +74,21 @@ def test_enumerate_embeddings_single_edge():
     embs = list(enumerate_embeddings(g, []))
     assert len(embs) == 1
     assert len(embs[0].faces) == 1
+
+
+def test_enumerate_embeddings_needs_a_connected_drawing():
+    """Two triangles drawn apart are refused; crossings that join two
+    components make one drawing (see ``test_k2_embedding_round_trip``)."""
+    g = Graph.build([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(GraphError):
+        list(enumerate_embeddings(g, []))
+    two_edges = Graph.build([(0, 1), (2, 3)])
+    assert len(list(enumerate_embeddings(two_edges, [(0, 1)]))) == 1
+
+
+def test_enumerate_embeddings_edgeless():
+    assert list(enumerate_embeddings(Graph.build([], vertices=range(3)),
+                                     [])) == []
 
 
 def test_enumerate_embeddings_k4_self_consistent():
@@ -166,6 +181,15 @@ def test_k2_embedding_round_trip():
     assert "edge_crossing_order" in blob
     again = embedding_to_json(embedding_from_json(blob, k=2))
     assert blob == again
+
+
+def test_geometric_decide_on_a_long_path():
+    """One insertion step per edge: the search keeps its own stack, so a
+    path longer than Python's recursion limit is still answered."""
+    g = path_graph(1002)
+    v = decide(g, Predicate(geometric=True), cap=g.m)
+    assert v.answer and v.stats.rotation_systems == 1
+    validate_embedding(v.witness)
 
 
 def test_witness_revalidates():
@@ -420,12 +444,14 @@ def test_accepted_outer_matches_the_two_branch_loop(rng):
         for assignment in enumerate_crossing_sets(g):
             if len(assignment.pairs) > most:
                 break
-            for emb in _system_iter(g, assignment):
+            skeleton = unrotated_embedding(g, assignment.pairs)
+            for emb in _system_iter(skeleton, DecideStats()):
                 for pred in preds:
                     for geometric in (False, True):
                         p = dataclasses.replace(pred, geometric=geometric)
                         want = oracle.accepted_outer(emb, p)
-                        assert _accepted_outer(emb, p) == want
+                        got = _accepted_outer(emb, p, DecideStats())
+                        assert got == want
                         picked.add((geometric, want is None))
     assert picked == {(False, False), (False, True), (True, False),
                       (True, True)}

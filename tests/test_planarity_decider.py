@@ -20,6 +20,7 @@ import random
 import pytest
 
 from oneplanar.decider import (
+    DecideStats,
     Predicate,
     _accepted_outer,
     _test_rotation,
@@ -128,7 +129,7 @@ def apex_gated_count(g: Graph, pred: Predicate) -> int:
             continue
         for emb in oracle.system_iter(g, assignment):
             count += 1
-            if _accepted_outer(emb, pred) is not None:
+            if _accepted_outer(emb, pred, DecideStats()) is not None:
                 return count
     return count
 

@@ -173,7 +173,7 @@ def test_rule_three_deletes_outer_children():
     from oneplanar.graph import treedepth_decomposition
     dec = treedepth_decomposition(g)
     ctx = TDContext(g, dec, dec.depth, Thresholds(), decide, 11)
-    assert apply_rule3(ctx, 2) == "mutated"
+    assert apply_rule3(ctx, ctx.blocks(), 2) == "mutated"
     assert ctx.graph.vertices == frozenset({2})
 
 
@@ -183,7 +183,7 @@ def test_rule_three_single_child_never_rejects():
     from oneplanar.graph import treedepth_decomposition
     dec = treedepth_decomposition(g)
     ctx = TDContext(g, dec, dec.depth, Thresholds(), no_oracle, 11)
-    assert apply_rule3(ctx, 2) != "rejected"
+    assert apply_rule3(ctx, ctx.blocks(), 2) != "rejected"
 
 
 def test_rule_three_reject_branch_with_stub():
@@ -192,7 +192,7 @@ def test_rule_three_reject_branch_with_stub():
     dec = treedepth_decomposition(g)
     ctx = TDContext(g, dec, dec.depth, Thresholds(rule3_reject=2),
                     no_oracle, 11)
-    assert apply_rule3(ctx, 2) == "rejected"
+    assert apply_rule3(ctx, ctx.blocks(), 2) == "rejected"
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +587,30 @@ def test_block_cut_tree_built_once_per_graph_version(monkeypatch):
     out = run_pipeline(g, decomposition=dec)
     assert out.result == "reduced" and len(out.deletions) == 291
     assert len(calls) <= 3
+
+
+def test_phase_two_reads_one_block_forest(monkeypatch):
+    """Rule III deletes one leaf of the path per cut vertex; every branch
+    is read from the forest Phase II starts with, so one block-cut tree is
+    built, and the outcome is the one a fresh forest per call gives."""
+    from oneplanar import td_pipeline
+    g, dec = chain(300)
+    want = oracle.run_pipeline(g, dec)
+    calls = []
+    real = td_pipeline.block_cut_tree
+
+    def counting(h):
+        calls.append(h.n)
+        return real(h)
+
+    monkeypatch.setattr(td_pipeline, "block_cut_tree", counting)
+    got = run_pipeline(g, decomposition=dec)
+    assert len(calls) == 1
+    assert len(got.deletions) > 100
+    assert (got.result, got.answer, got.oracle_calls, got.log,
+            got.graph.vertices) == (
+                want.result, want.answer, want.oracle_calls, want.log,
+                want.graph.vertices)
 
 
 def test_chain_visits_only_pairs_rule_two_can_act_on(monkeypatch):
