@@ -6,13 +6,15 @@ The search starts at ``crossing_lower_bound`` crossings, m - floor(g(n-2)
 forest).  Every drawing meets it, for every k and every predicate:
 deleting one edge of each of its c crossing pairs leaves a plane graph on
 the n vertices with at least m - c edges and no cycle shorter than g, and
-such a graph has at most g(n-2)/(g-2) edges.  Every assignment from the
-bound up gets one left-right planarity test of its planarization
-(``oneplanar.planarity``).  ab-shared and ab-outer run it with an apex
-vertex joined to a and b, since both need a face holding a and b (a
-drawing can put any face outside).  Only a geometric search skips the
-test, on planarizations of fewer than 9 segments, the apex's path counted
-as one, which are all planar.
+such a graph has at most g(n-2)/(g-2) edges.  For k = 1 an assignment is
+skipped when its planarization has fewer than 2m - 4n + 8 triangles, which
+no planar one has (``_too_few_triangles``, argued at ``_decide_connected``).
+Every other assignment from the bound up gets one left-right planarity
+test of its planarization (``oneplanar.planarity``).  ab-shared and
+ab-outer run it with an apex vertex joined to a and b, since both need a
+face holding a and b (a drawing can put any face outside).  Only a
+geometric search skips the test, on planarizations of fewer than 9
+segments, the apex's path counted as one, which are all planar.
 
 * A topological predicate is answered by the first assignment that passes;
   a-outer is plain 1-planarity.  The witness is the test's rotation
@@ -39,10 +41,11 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .embedding import (
     PlaneEmbedding,
@@ -107,6 +110,7 @@ class DecideStats:
 
     assignments: int = 0  # crossing assignments generated
     crossing_lower_bound: int = 0  # the crossing count the search starts at
+    face_bound_rejections: int = 0  # assignments with too few triangles
     planarity_tests: int = 0
     planarity_failed: int = 0
     density_rejections: int = 0  # components ruled out by edge density
@@ -204,7 +208,11 @@ def enumerate_crossing_sets(g: Graph, k: int = 1, start: int = 0
     these are the matchings on independent edge pairs; for k >= 2 multisets
     with per-edge multiplicity <= k, each expanded with every drawing order
     along multiply-crossed edges (canonicalized so that two crossings of the
-    same pair keep their index order along the lower edge)."""
+    same pair keep their index order along the lower edge).  The assignment
+    with no crossing comes before the edge pairs are listed."""
+    if start == 0:
+        yield CrossingAssignment(())
+        start = 1
     pairs = _independent_pairs(g)
     capacity = {e: k for e in g.edges}
 
@@ -257,12 +265,62 @@ def enumerate_crossing_sets(g: Graph, k: int = 1, start: int = 0
     while True:
         found = False
         for chosen in of_size(size):
+            found = True
+            if k == 1:  # a matching crosses no edge twice: no orders
+                yield CrossingAssignment(chosen)
+                continue
             for order in chosen_orders(list(chosen)):
-                found = True
                 yield CrossingAssignment(chosen, order)
         if not found:
             return
         size += 1
+
+
+def _too_few_triangles(g: Graph, apex: tuple[int, ...] = ()
+                       ) -> Optional[Callable[[tuple[tuple[int, int], ...]],
+                                              bool]]:
+    """For k = 1 on a connected g: a test that is true of the crossing
+    pairs of an assignment whose planarization, with an apex joined to
+    ``apex`` if given, has fewer than 2m - 4n + 8 triangles and so is not
+    planar (see ``_decide_connected``).  None when the need is at most 0 or
+    n < 4, so that no assignment fails it: K3 is plane with one triangle.
+
+    The planarization's triangles are the triangles of g with no crossed
+    edge, for each crossing pair its uncrossed kite edges (the edges of g
+    joining an endpoint of one crossing edge to one of the other), and,
+    with an apex, one more when the edge ab is uncrossed.  Triangles are
+    bit masks over the edges of g, listed only when the need is positive;
+    the kite edges of a pair are a mask built on the pair's first use."""
+    need = 2 * g.m - 4 * g.n + 8
+    if need <= 0 or g.n < 4:
+        return None
+    bit = {e: 1 << i for i, e in enumerate(g.edges)}
+    adj = {v: dict(nbrs) for v, nbrs in g.adjacency.items()}
+    triangles = [bit[e] | bit[f] | bit[adj[v][w]]
+                 for e, (u, v) in g.edges.items()
+                 for w, f in adj[u].items() if w > v and w in adj[v]]
+    ab = g.edge_between(*apex) if apex else None
+    if ab is not None:  # the apex's triangle is lost only if ab is crossed
+        triangles.append(bit[ab])
+    kites: dict[tuple[int, int], int] = {}
+
+    def too_few(pairs: tuple[tuple[int, int], ...]) -> bool:
+        crossed = 0
+        for e, f in pairs:
+            crossed |= bit[e] | bit[f]
+        count = sum(not t & crossed for t in triangles)
+        for pair in pairs:
+            mask = kites.get(pair)
+            if mask is None:
+                (a, b), (c, d) = g.edges[pair[0]], g.edges[pair[1]]
+                mask = kites[pair] = sum(
+                    bit[x] for x in (adj[a].get(c), adj[a].get(d),
+                                     adj[b].get(c), adj[b].get(d))
+                    if x is not None)
+            count += (mask & ~crossed).bit_count()
+        return count < need
+
+    return too_few
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +337,16 @@ def _insertion_steps(plan: Planarization, dummies: set[int]
     target, pin)``.
 
     Nodes join by maximum-cardinality search from a node of largest degree:
-    the next node is the one with the most segments to placed nodes.  One of
-    those segments goes in first as a pendant segment, from its end with the
-    fewest placed darts; the rest follow at once as chords, so every segment
-    touches what is placed, and chords come before the next pendant.  An
-    end's mode is ``_NEW`` when its node has no dart yet, ``_ALTERNATE``
-    when it is the fourth dart of a dummy, and ``_FREE`` otherwise.  The
-    first dart to be a node's third gets as ``pin`` the node's second dart,
-    which it must be inserted before; a planarization with no node of
-    degree 3 or more has no pin."""
+    the next node is the one with the most segments to placed nodes, the
+    smallest on ties, popped from a heap that passes over stale entries.
+    One of those segments goes in first as a pendant segment, from its end
+    with the fewest placed darts; the rest follow at once as chords, so
+    every segment touches what is placed, and chords come before the next
+    pendant.  An end's mode is ``_NEW`` when its node has no dart yet,
+    ``_ALTERNATE`` when it is the fourth dart of a dummy, and ``_FREE``
+    otherwise.  The first dart to be a node's third gets as ``pin`` the
+    node's second dart, which it must be inserted before; a planarization
+    with no node of degree 3 or more has no pin."""
     node_darts = plan.node_darts
     start = min(node_darts, key=lambda v: (-len(node_darts[v]), v))
     placed_darts: dict[int, list[int]] = {v: [] for v in node_darts}
@@ -295,16 +354,24 @@ def _insertion_steps(plan: Planarization, dummies: set[int]
     placed = {start}
     for d in node_darts[start]:
         reach[plan.target(d)] += 1
+    # (-reach, node), one entry per reach a node has had; stale ones are
+    # passed over
+    heap = [(-reach[v], v) for v in node_darts if v != start]
+    heapq.heapify(heap)
     steps: list[tuple[int, int, int, int, int]] = []
     pin = True
     while len(placed) < len(node_darts):
-        w = max((v for v in node_darts if v not in placed),
-                key=lambda v: (reach[v], -v))
+        r, w = heapq.heappop(heap)
+        if w in placed or -r != reach[w]:
+            continue
         into = sorted((d ^ 1 for d in node_darts[w] if plan.target(d) in placed),
                       key=lambda d: (len(placed_darts[plan.origin(d)]), d))
         placed.add(w)
         for d in node_darts[w]:
-            reach[plan.target(d)] += 1
+            v = plan.target(d)
+            reach[v] += 1
+            if v not in placed:
+                heapq.heappush(heap, (-reach[v], v))
         for d in into:
             step = [d, d ^ 1, 0, 0, -1]
             for end, x in enumerate((d, d ^ 1)):
@@ -590,6 +657,20 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
     fails the planarity test, and starting there changes no answer and no
     witness.
 
+    For k = 1 the planarization, apex included, is connected and simple,
+    with m' segments and n' nodes.  Planar, it has f = m' - n' + 2 faces,
+    each of length at least 3, so 2m' >= 3t + 4(f - t) for the t faces of
+    length 3.  Each of those is bounded by a triangle, and no triangle
+    bounds two faces unless the planarization is K3 itself, which n >= 4
+    rules out.
+    So it has at least 2m' - 4n' + 8 = 2m - 4n + 8 triangles: a crossing
+    pair adds one node and two segments, and so does the apex.  An
+    assignment with fewer (``_too_few_triangles``, which counts them from
+    the crossing pairs) is skipped before its skeleton is built.  It would
+    have failed the test, so no answer, witness or B/W configuration
+    changes.  The guard n >= 4 is needed: K3 needs 2 triangles by the count
+    and has 1, which bounds both of its faces.
+
     A topological predicate takes the first assignment whose planarization
     passes the planarity test, and the test's embedding is the witness.
     Its crossings alternate without a special case: were some dummy's two
@@ -608,8 +689,12 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
     start = crossing_lower_bound(g)
     stats.crossing_lower_bound += start
     apex = pred.anchors if pred.variant in ("ab-shared", "ab-outer") else ()
+    too_few = _too_few_triangles(g, apex) if pred.k == 1 else None
     for assignment in enumerate_crossing_sets(g, pred.k, start):
         stats.assignments += 1
+        if too_few is not None and too_few(assignment.pairs):
+            stats.face_bound_rejections += 1
+            continue
         skeleton = unrotated_embedding(g, assignment.pairs,
                                        assignment.edge_order)
         # Fewer than 9 segments, the apex's path ab counted as one, are

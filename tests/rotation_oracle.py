@@ -6,6 +6,10 @@ of the cyclic orders at every node of the planarization, with one mirror
 image pinned at a pivot node, and keeps the products that trace to genus 0.
 The new enumerator must yield the same rotation dicts in the same order.
 
+``insertion_steps`` is ``oneplanar.decider._insertion_steps`` as it was
+before its next node came from a heap: a ``max`` over every unplaced node
+by ``(reach, -node)``.  The heap must give the same steps.
+
 ``decide_connected`` is the per-component loop of ``oneplanar.decider``
 before the planarity test took over.  It enumerates every rotation system
 of every crossing assignment, in product order, and takes the first
@@ -19,6 +23,9 @@ import itertools
 from typing import Iterator, Optional
 
 from oneplanar.decider import (
+    _ALTERNATE,
+    _FREE,
+    _NEW,
     CapExceeded,
     CrossingAssignment,
     DecideStats,
@@ -29,6 +36,7 @@ from oneplanar.decider import (
 )
 from oneplanar.embedding import (
     PlaneEmbedding,
+    Planarization,
     unrotated_embedding,
     validate_embedding,
 )
@@ -113,6 +121,45 @@ def system_iter(g: Graph, assignment: CrossingAssignment
             continue
         yield dataclasses.replace(skeleton, rotation=dict(zip(nodes, combo)),
                                   outer=0)
+
+
+def insertion_steps(plan: Planarization, dummies: set[int]
+                    ) -> list[tuple[int, int, int, int, int]]:
+    node_darts = plan.node_darts
+    start = min(node_darts, key=lambda v: (-len(node_darts[v]), v))
+    placed_darts: dict[int, list[int]] = {v: [] for v in node_darts}
+    reach = dict.fromkeys(node_darts, 0)  # segments to placed nodes
+    placed = {start}
+    for d in node_darts[start]:
+        reach[plan.target(d)] += 1
+    steps: list[tuple[int, int, int, int, int]] = []
+    pin = True
+    while len(placed) < len(node_darts):
+        w = max((v for v in node_darts if v not in placed),
+                key=lambda v: (reach[v], -v))
+        into = sorted((d ^ 1 for d in node_darts[w] if plan.target(d) in placed),
+                      key=lambda d: (len(placed_darts[plan.origin(d)]), d))
+        placed.add(w)
+        for d in node_darts[w]:
+            reach[plan.target(d)] += 1
+        for d in into:
+            step = [d, d ^ 1, 0, 0, -1]
+            for end, x in enumerate((d, d ^ 1)):
+                node = plan.origin(x)
+                have = placed_darts[node]
+                if not have:
+                    step[2 + end] = _NEW
+                elif len(have) == 3 and node in dummies:
+                    step[2 + end] = _ALTERNATE
+                else:
+                    step[2 + end] = _FREE
+                if pin and len(have) == 2:
+                    step[4] = have[1]
+                    pin = False
+            for x in (d, d ^ 1):
+                placed_darts[plan.origin(x)].append(x)
+            steps.append(tuple(step))
+    return steps
 
 
 def decide_connected(g: Graph, pred: Predicate, cap: int,

@@ -258,9 +258,10 @@ def test_memo_hit_keeps_requested_witness():
 
 
 def _stats(assignments, bound, tests, failed, systems, valid, outer,
-           hits=0, insertions=0, bw=0) -> DecideStats:
+           hits=0, insertions=0, bw=0, face=0) -> DecideStats:
     return DecideStats(
         assignments=assignments, crossing_lower_bound=bound,
+        face_bound_rejections=face,
         planarity_tests=tests, planarity_failed=failed,
         insertions=insertions, rotation_systems=systems,
         valid_embeddings=valid, outer_faces_checked=outer, bw_candidates=bw,
@@ -277,19 +278,25 @@ def test_decide_stats_record():
     assert decide(k5, Predicate(geometric=True)).stats == \
         _stats(1, 1, 1, 0, 1, 1, 5, insertions=15, bw=4)
     # K3,4 (m=12, n=7, girth 4) starts at 12 - 10 = 2 crossings, its
-    # crossing number: 7 of the 8 two-crossing assignments fail the test
+    # crossing number.  A planar planarization needs 2m - 4n + 8 = 4
+    # triangles, all kite edges here, and 7 of the 8 two-crossing
+    # assignments have fewer, so they are skipped without a planarity test
+    # (they all failed it before the skip)
     assert decide(k34, Predicate(), cap=12).stats == \
-        _stats(8, 2, 8, 7, 0, 1, 1)
+        _stats(8, 2, 1, 0, 0, 1, 1, face=7)
     v = decide(k34, Predicate(geometric=True), cap=12)
-    assert v.stats == _stats(8, 2, 8, 7, 1, 1, 4, insertions=21, bw=5)
+    assert v.stats == _stats(8, 2, 1, 0, 1, 1, 4, insertions=21, bw=5,
+                             face=7)
     assert v.embeddings_enumerated == 1
     # opposite octahedron vertices share no face of its plane embedding: with
-    # the apex on them, every assignment below two crossings fails the test;
-    # the plane octahedron has girth 3 and 3n - 6 = m edges, so the bound is 0
+    # the apex on them, every assignment below two crossings is non-planar;
+    # the plane octahedron has girth 3 and 3n - 6 = m edges, so the bound is
+    # 0.  It needs 8 triangles, and it has 8: the assignment with no
+    # crossing is tested and fails, and 61 of the other 62 have too few
     octahedron = Graph.build([(u, v) for u in range(6) for v in range(u + 1, 6)
                               if u // 2 != v // 2])
     assert decide(octahedron, Predicate("ab-outer", a=0, b=1),
-                  cap=12).stats == _stats(63, 0, 63, 62, 0, 1, 2)
+                  cap=12).stats == _stats(63, 0, 2, 1, 0, 1, 2, face=61)
     # components are summed: K5 as above, K3,3 (girth 4) from its bound 1
     two = Graph.build([*k5.edges.values(),
                        *((u + 5, v + 5) for u, v in
@@ -306,6 +313,16 @@ def test_decide_stats_record():
     # K7 has 21 > 4n - 8 edges: density rules it out before any search
     assert decide(complete_graph(7), Predicate()).stats == \
         DecideStats(density_rejections=1)
+
+
+def test_decide_k35_plain_stats():
+    """K3,5 (m=15, n=8, girth 4) starts at its girth bound 3, one below its
+    crossing number 4.  A planar planarization needs 2m - 4n + 8 = 6
+    triangles, all kite edges: 15 616 of the 17 312 assignments of three
+    and four crossings have fewer and are skipped without a planarity
+    test; of the 1696 tested, only the last passes."""
+    assert decide(complete_bipartite(3, 5), Predicate(), cap=15).stats == \
+        _stats(17312, 3, 1696, 1695, 0, 1, 1, face=15616)
 
 
 def test_rotation_enumeration_matches_known_planarity():

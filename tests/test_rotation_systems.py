@@ -1,12 +1,16 @@
 """Rotation systems by face insertion (``decider._system_iter``) against the
 product loop it replaced (``rotation_oracle.system_iter``): the same
 rotation dicts in the same order, on every crossing assignment up to a
-crossing bound.
+crossing bound.  The insertion order (``decider._insertion_steps``) is
+checked against its version that took each next node by a ``max`` over
+every unplaced node (``rotation_oracle.insertion_steps``).
 
 W8's hub alone has 2520 pinned rotations, so the product loop takes minutes
 per assignment there; W8 is checked against independent facts instead."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -14,6 +18,7 @@ from oneplanar import decider
 from oneplanar.decider import (
     DecideStats,
     Predicate,
+    _insertion_steps,
     _system_iter,
     _test_rotation,
     decide,
@@ -23,7 +28,14 @@ from oneplanar.embedding import unrotated_embedding, validate_embedding
 from oneplanar.graph import Graph
 
 import rotation_oracle as oracle
-from conftest import complete_graph, cycle_graph, star_graph, wheel_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+    wheel_graph,
+)
 from test_planarity_decider import NAMED, random_graphs
 
 
@@ -60,6 +72,36 @@ def test_double_crossings_match_the_product_loop():
     assert assert_same_sequence(Graph.build([(0, 1), (2, 3)]), 2, k=2)
     assert assert_same_sequence(cycle_graph(4), 3, k=2)
     assert assert_same_sequence(complete_graph(4), 2, k=2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_insertion_steps_match_the_max_order(k):
+    """On seeded planarizations, among them some with ties in reach and
+    long paths, the heap takes the nodes in the order of the ``max`` over
+    every unplaced node, so the steps are the same."""
+    rng = random.Random(1997 + k)
+    graphs = [path_graph(60), cycle_graph(40), star_graph(9),
+              wheel_graph(12), complete_graph(5)]
+    graphs += [random_connected_graph(rng, rng.randint(3, 12),
+                                      rng.randint(0, 10)) for _ in range(120)]
+    compared = 0
+    for g in graphs:
+        assignments = []
+        for assignment in enumerate_crossing_sets(g, k):
+            if len(assignment.pairs) > 2 or len(assignments) > 40:
+                break
+            assignments.append(assignment)
+        for assignment in rng.sample(assignments, min(5, len(assignments))):
+            skeleton = unrotated_embedding(g, assignment.pairs,
+                                           assignment.edge_order)
+            plan = skeleton.planarization
+            if len(plan.components) > 1:
+                continue
+            dummies = {c.dummy for c in skeleton.crossings}
+            assert _insertion_steps(plan, dummies) == \
+                oracle.insertion_steps(plan, dummies), assignment
+            compared += 1
+    assert compared > 400
 
 
 def test_wheel8_against_independent_facts():
