@@ -10,8 +10,13 @@ and of chord intersections are unrelated, so their LCM keeps growing.
 
 Bounding boxes and on-segment tests compare ranks instead of coordinates:
 the distinct x values and the distinct y values are sorted once, exactly,
-and a point's ranks order it as its coordinates do, ties included.  A
-``Fraction`` is built only for the point of a proper crossing.
+and a point's ranks order it as its coordinates do, ties included.  Two
+vertices coincide exactly when both their ranks do.  Ranks and the
+crossing-coincidence set are keyed by a ``Fraction``'s (numerator,
+denominator) ints, which are canonical, so no ``Fraction`` is hashed.  A
+vertex is tested against an edge only within the edge's x-rank slab, and
+edge pairs come from a sweep over their rank boxes.  A ``Fraction`` is
+built only for the point of a proper crossing.
 """
 
 from __future__ import annotations
@@ -45,8 +50,28 @@ def _side(line: Homogeneous, r: Homogeneous) -> int:
     return (val > 0) - (val < 0)
 
 
-def _ranks(values: Iterable[Fraction]) -> dict[Fraction, int]:
-    return {v: i for i, v in enumerate(sorted(set(values)))}
+def _fraction(c) -> Fraction:
+    """``c`` as a Fraction; one already a Fraction is kept, not re-wrapped."""
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _key(c: Fraction) -> tuple[int, int]:
+    """A Fraction's hash key: it is normalized, so the pair is canonical,
+    and hashing two ints skips the modular inverse of ``Fraction.__hash__``."""
+    return (c.numerator, c.denominator)
+
+
+def _ranks(values: Iterable[Fraction]) -> dict[tuple[int, int], int]:
+    """The rank of each distinct value among them, by its ``_key``.  The
+    sort compares floats first: int division rounds correctly, so distinct
+    values keep their order or tie, and the exact values break the ties.
+    Values past the float range are sorted exactly."""
+    distinct = {_key(v): v for v in values}
+    try:
+        order = sorted(distinct, key=lambda k: (k[0] / k[1], distinct[k]))
+    except OverflowError:
+        order = sorted(distinct, key=distinct.__getitem__)
+    return {k: i for i, k in enumerate(order)}
 
 
 def _within(rx, ry, a, b, r) -> bool:
@@ -130,22 +155,24 @@ def validate_geometric_1planar(coords: Mapping[int, Point], g: Graph,
     Only vertices and edge pairs whose rank boxes meet are tested exactly.
     """
     violations: list[str] = []
-    pts = {v: (Fraction(x), Fraction(y)) for v, (x, y) in coords.items()}
+    pts = {v: (_fraction(x), _fraction(y)) for v, (x, y) in coords.items()}
     if set(pts) != set(g.vertices):
         violations.append("coordinates do not cover V(g)")
         return DrawingReport(False, [], violations)
 
-    seen_pts: dict[Point, int] = {}
-    for v, p in pts.items():
-        if p in seen_pts:
-            violations.append(f"vertices {seen_pts[p]} and {v} coincide")
-        seen_pts[p] = v
-
     h = {v: _homogeneous(p) for v, p in pts.items()}
     xs = _ranks(p[0] for p in pts.values())
     ys = _ranks(p[1] for p in pts.values())
-    rx = {v: xs[p[0]] for v, p in pts.items()}
-    ry = {v: ys[p[1]] for v, p in pts.items()}
+    rx = {v: xs[_key(p[0])] for v, p in pts.items()}
+    ry = {v: ys[_key(p[1])] for v, p in pts.items()}
+
+    # two points coincide exactly when both their ranks do
+    seen_pts: dict[tuple[int, int], int] = {}
+    for v in pts:
+        r = (rx[v], ry[v])
+        if r in seen_pts:
+            violations.append(f"vertices {seen_pts[r]} and {v} coincide")
+        seen_pts[r] = v
 
     ids = sorted(g.edges)
     lines, boxes = {}, {}
@@ -156,44 +183,60 @@ def validate_geometric_1planar(coords: Mapping[int, Point], g: Graph,
         boxes[e] = (min(rx[u], rx[w]), max(rx[u], rx[w]),
                     min(ry[u], ry[w]), max(ry[u], ry[w]))
 
+    # an edge reads only the vertices in its x-rank slab; its hits are
+    # reported in V(g) order
+    slab: list[list[int]] = [[] for _ in xs]
+    for v in g.vertices:
+        slab[rx[v]].append(v)
+    index = {v: i for i, v in enumerate(g.vertices)}
     for e in ids:
         u, w = g.edges[e]
         xlo, xhi, ylo, yhi = boxes[e]
-        for v in g.vertices:
-            if (xlo <= rx[v] <= xhi and ylo <= ry[v] <= yhi
-                    and v != u and v != w and _side(lines[e], h[v]) == 0):
-                violations.append(f"vertex {v} lies on edge {e}")
+        hits = [v for r in range(xlo, xhi + 1) for v in slab[r]
+                if ylo <= ry[v] <= yhi and v != u and v != w
+                and _side(lines[e], h[v]) == 0]
+        hits.sort(key=index.__getitem__)
+        violations.extend(f"vertex {v} lies on edge {e}" for v in hits)
+
+    # edge pairs whose rank boxes meet, by a sweep over the boxes' left
+    # x ranks, then taken in edge id order
+    by_left = sorted(ids, key=lambda e: boxes[e][0])
+    pairs = []
+    for i, e in enumerate(by_left):
+        _, exhi, eylo, eyhi = boxes[e]
+        for f in by_left[i + 1:]:
+            fxlo, _, fylo, fyhi = boxes[f]
+            if fxlo > exhi:
+                break
+            if fylo <= eyhi and eylo <= fyhi:
+                pairs.append((e, f) if e < f else (f, e))
+    pairs.sort()
 
     crossings: list[tuple[int, int, Point]] = []
     per_edge: dict[int, int] = {e: 0 for e in ids}
-    for i, e in enumerate(ids):
+    for e, f in pairs:
         pe, qe = g.edges[e]
-        exlo, exhi, eylo, eyhi = boxes[e]
-        for f in ids[i + 1:]:
-            fxlo, fxhi, fylo, fyhi = boxes[f]
-            if fxlo > exhi or exlo > fxhi or fylo > eyhi or eylo > fyhi:
-                continue
-            pf, qf = g.edges[f]
-            hit = _classify(h, rx, ry, pe, qe, lines[e], pf, qf, lines[f])
-            if hit is None:
-                continue
-            kind, key = hit
-            shared = {pe, qe} & {pf, qf}
-            if shared:
-                s = shared.pop()
-                if kind != "touch" or (rx[key], ry[key]) != (rx[s], ry[s]):
-                    violations.append(
-                        f"adjacent edges {e},{f} overlap beyond their endpoint")
-                continue
-            if kind == "proper":
-                crossings.append((e, f, _meet(lines[e], lines[f])))
-                per_edge[e] += 1
-                per_edge[f] += 1
-            else:
-                violations.append(f"edges {e},{f} touch improperly")
+        pf, qf = g.edges[f]
+        hit = _classify(h, rx, ry, pe, qe, lines[e], pf, qf, lines[f])
+        if hit is None:
+            continue
+        kind, key = hit
+        shared = {pe, qe} & {pf, qf}
+        if shared:
+            s = shared.pop()
+            if kind != "touch" or (rx[key], ry[key]) != (rx[s], ry[s]):
+                violations.append(
+                    f"adjacent edges {e},{f} overlap beyond their endpoint")
+            continue
+        if kind == "proper":
+            crossings.append((e, f, _meet(lines[e], lines[f])))
+            per_edge[e] += 1
+            per_edge[f] += 1
+        else:
+            violations.append(f"edges {e},{f} touch improperly")
 
-    points = [p for _, _, p in crossings]
-    if len(set(points)) != len(points):
+    points = {(*_key(x), *_key(y)) for _, _, (x, y) in crossings}
+    if len(points) != len(crossings):
         violations.append("two crossings coincide in one point")
     for e, c in per_edge.items():
         if c > max_crossings_per_edge:

@@ -276,14 +276,16 @@ def _layout(dec: Degree2PathDecomposition, open_idx, closed_idx,
             params[j].append(param(j, hit[1]))
 
     for i in open_idx:
-        a, b = guides[i]
+        (ax, ay), (bx, by) = guides[i]
+        dx, dy = bx - ax, by - ay
         walk = dec.vertex_paths[i]
         length = dec.lengths[i]
         params[i].sort()
         positions = _place_positions(params[i], length - 1, layer[i])
         for pos_idx, t in enumerate(positions):
-            v = walk[pos_idx + 1]
-            coords[v] = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+            num, den = t.numerator, t.denominator
+            coords[walk[pos_idx + 1]] = (_along(ax, dx, num, den),
+                                         _along(ay, dy, num, den))
 
     # closed paths become far-away convex polygons
     for slot, i in enumerate(closed_idx):
@@ -293,6 +295,14 @@ def _layout(dec: Degree2PathDecomposition, open_idx, closed_idx,
         for v, pt in zip(walk[:-1], ring):
             coords[v] = (pt[0] + cx, pt[1] + Fraction(20))
     return coords
+
+
+def _along(a: Fraction, d: Fraction, num: int, den: int) -> Fraction:
+    """``a + d * num / den``, built as one Fraction from integer products
+    instead of three Fraction operations."""
+    scale = d.denominator * den
+    return Fraction(a.numerator * scale + d.numerator * num * a.denominator,
+                    a.denominator * scale)
 
 
 def _place_positions(params: list[Fraction], count: int, layer_index: int
@@ -308,7 +318,7 @@ def _place_positions(params: list[Fraction], count: int, layer_index: int
 
     def at(gap, num, den) -> Fraction:
         lo, hi = gap
-        return lo + (hi - lo) * Fraction(num, den)
+        return _along(lo, hi - lo, num, den)
 
     chosen: list[tuple[int, Fraction]] = []
     for gi in range(1, len(gaps) - 1):

@@ -12,6 +12,7 @@ K6 gadget.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -91,9 +92,12 @@ def frame_faces() -> list[frozenset[int]]:
     return faces
 
 
+@functools.cache
 def verify_frame() -> None:
     """Build-time checks: triconnectivity by exhaustive 2-cut search, and
-    uniqueness of the face shared by each distinguished pair."""
+    uniqueness of the face shared by each distinguished pair.  The frame is
+    a constant, so the checks run once per process; a failing check raises,
+    which the cache does not store."""
     g, names = frame_graph()
     if (g.n, g.m) != (FRAME_VERTICES, FRAME_EDGES):
         raise GraphError("frame has wrong size")
@@ -226,9 +230,11 @@ def fvs_witness(li: LabeledInstance) -> frozenset[int]:
     """Feedback vertex set: the 12 frame vertices plus two internals per K6
     gadget; verified acyclic by construction check."""
     out = set(range(FRAME_VERTICES))
+    by_label: dict[str, list[int]] = {}
+    for v, label in li.graph.vertex_labels.items():
+        by_label.setdefault(label, []).append(v)
     for gi in range(li.gadget_count):
-        internals = li.vertices_with_label(f"k6-gadget:{gi}")
-        out.update(internals[:2])
+        out.update(sorted(by_label.get(f"k6-gadget:{gi}", ()))[:2])
     rest = li.graph.remove_vertices(out)
     from .graph import feedback_edge_set
     if feedback_edge_set(rest).ell != 0:
@@ -245,7 +251,10 @@ def pathwidth_witness(li: LabeledInstance) -> list[frozenset[int]]:
     residual = g.remove_vertices(frame_set)
     bags: list[frozenset[int]] = []
     for comp in residual.components():
-        sub = residual.induced_subgraph(comp)
+        # a component is closed under adjacency, so its own vertices'
+        # incidences are its edges; no scan of the whole instance
+        ids = sorted({e for x in comp for _, e in residual.adjacency[x]})
+        sub = Graph(comp, {e: residual.edges[e] for e in ids})
         if sub.m == 0:
             bags.append(frozenset(comp))
         elif all(sub.degree(v) <= 2 for v in comp):  # path component
@@ -267,16 +276,31 @@ def pathwidth_witness(li: LabeledInstance) -> list[frozenset[int]]:
 
 def validate_path_decomposition(g: Graph, bags: list[frozenset[int]]) -> int:
     """Formal validity: every vertex's bags form a contiguous interval and
-    every edge is contained in some bag.  Returns the width."""
+    every edge is contained in some bag.  Returns the width.
+
+    One pass over the bags records each vertex's first bag, last bag and
+    bag count; the bags are contiguous when the count fills the span, and
+    then an edge is covered exactly when its endpoints' spans meet."""
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    count: dict[int, int] = {}
+    for i, bag in enumerate(bags):
+        for v in bag:
+            if v not in first:
+                first[v] = i
+                count[v] = 0
+            last[v] = i
+            count[v] += 1
     for v in g.vertices:
-        hits = [i for i, b in enumerate(bags) if v in b]
-        if not hits:
+        if v not in first:
             raise GraphError(f"vertex {v} in no bag")
-        if hits != list(range(hits[0], hits[-1] + 1)):
+        if count[v] != last[v] - first[v] + 1:
             raise GraphError(f"bags of vertex {v} are not contiguous")
     for e, (u, v) in g.edges.items():
-        if not any(u in b and v in b for b in bags):
+        if first[u] > last[v] or first[v] > last[u]:
             raise GraphError(f"edge {e} not covered")
+    if not bags:
+        raise GraphError("path decomposition has no bags")
     return max(len(b) for b in bags) - 1
 
 

@@ -67,7 +67,8 @@ def test_segment_intersection_kinds(name):
 
 
 # ---------------------------------------------------------------------------
-# validate_geometric_1planar: one case per violation
+# validate_geometric_1planar: one case per violation, plus cases for the
+# integer keys and the float-first rank sort
 # ---------------------------------------------------------------------------
 
 REPORT_CASES = {
@@ -105,6 +106,30 @@ REPORT_CASES = {
         DrawingReport(False, [(0, 1, P(0, 0)), (0, 2, P(0, 0)),
                               (1, 2, P(0, 0))],
                       ["two crossings coincide in one point"])),
+    "coinciding-int-and-fraction": (
+        {0: (1, 2), 1: (Fraction(3, 3), 2)}, Graph.build([], vertices=[0, 1]),
+        1, DrawingReport(False, [], ["vertices 0 and 1 coincide"])),
+    # the meets of the three lines have homogeneous weights -2, 8 and 24
+    "coinciding-crossings-rational": (
+        {0: (0, 0), 1: (1, 1), 2: (0, 1), 3: (1, 0),
+         4: (Fraction(1, 4), 0), 5: (Fraction(3, 4), 1)},
+        Graph.build([(0, 1), (2, 3), (4, 5)]), 2,
+        DrawingReport(False, [(0, 1, P(Fraction(1, 2), Fraction(1, 2))),
+                              (0, 2, P(Fraction(1, 2), Fraction(1, 2))),
+                              (1, 2, P(Fraction(1, 2), Fraction(1, 2)))],
+                      ["two crossings coincide in one point"])),
+    # x values 1 + 10^-30 and 1 round to one float; vertex 0 lies beyond
+    # the edge's end
+    "beyond-float-precision": (
+        {0: (1 + Fraction(1, 10 ** 30), 0), 1: (0, 0), 2: (1, 0)},
+        Graph.build([(1, 2)], vertices=[0]), 1,
+        DrawingReport(True, [], [])),
+    # coordinates past the float range are ranked without floats
+    "beyond-float-range": (
+        {0: (0, 0), 1: (10 ** 400, 0), 2: (10 ** 400, 10 ** 400),
+         3: (0, 10 ** 400)},
+        Graph.build([(u, v) for u in range(4) for v in range(u + 1, 4)]), 1,
+        DrawingReport(True, [(1, 4, P(10 ** 400 // 2, 10 ** 400 // 2))], [])),
     "crossed-too-often": (
         {0: (0, 0), 1: (3, 0), 2: (1, -1), 3: (1, 1), 4: (2, -1), 5: (2, 1)},
         Graph.build([(0, 1), (2, 3), (4, 5)]), 1,
@@ -121,6 +146,7 @@ REPORT_CASES = {
 def test_drawing_report_cases(name):
     coords, g, bound, want = REPORT_CASES[name]
     assert validate_geometric_1planar(coords, g, bound) == want
+    assert assert_same_report(coords, g, bound) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
+from oneplanar import reductions
 from oneplanar.graph import Graph, GraphError, LinearOrdering, feedback_edge_set
 from oneplanar.reductions import (
     BinPackInstance,
@@ -62,6 +66,21 @@ def test_frame_shape_and_triconnectivity():
     assert (g.n, g.m) == (12, 18)
     assert all(g.degree(v) == 3 for v in g.vertices)
     assert len(names) == 6
+
+
+def test_instance_generation_runs_the_frame_check(monkeypatch):
+    """The frame check is cached once per process; with the cache cleared
+    and a broken frame, generation still refuses to build."""
+    g, names = frame_graph()
+    rung = g.edge_between(0, 6)
+    broken = Graph(g.vertices, {e: p for e, p in g.edges.items() if e != rung})
+    monkeypatch.setattr(reductions, "frame_graph", lambda: (broken, names))
+    verify_frame.cache_clear()
+    try:
+        with pytest.raises(GraphError):
+            gen_binpack_instance(FIG, raw=True)
+    finally:
+        verify_frame.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +168,95 @@ def test_path_decomposition_validator_rejects_bad():
     with pytest.raises(GraphError):
         validate_path_decomposition(
             g, [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1})])
+
+
+def test_path_decomposition_needs_a_bag():
+    with pytest.raises(GraphError, match="no bags"):
+        validate_path_decomposition(Graph.build([]), [])
+    with pytest.raises(GraphError, match="vertex 0 in no bag"):
+        validate_path_decomposition(path_graph(3), [])
+
+
+def quadratic_path_decomposition_width(g, bags):
+    """The validator before its one pass over the bags: each vertex's bag
+    indices listed and each edge checked against every bag."""
+    for v in g.vertices:
+        hits = [i for i, b in enumerate(bags) if v in b]
+        if not hits:
+            raise GraphError(f"vertex {v} in no bag")
+        if hits != list(range(hits[0], hits[-1] + 1)):
+            raise GraphError(f"bags of vertex {v} are not contiguous")
+    for e, (u, v) in g.edges.items():
+        if not any(u in b and v in b for b in bags):
+            raise GraphError(f"edge {e} not covered")
+    return max(len(b) for b in bags) - 1
+
+
+FAULTS = ("uncovered", "missing", "gap", "stray")
+
+
+def random_decomposition(rng):
+    """A graph and a bag list built from one interval of bags per vertex,
+    with the edges drawn between meeting intervals, then given up to two
+    faults: an edge between disjoint intervals, a vertex dropped from
+    every bag, a vertex dropped from an inner bag of its interval, or
+    vertices outside the graph added to bags."""
+    n = rng.randint(1, 7)
+    length = rng.randint(1, 6)
+    span = {}
+    for v in range(n):
+        a = rng.randrange(length)
+        span[v] = (a, rng.randrange(a, length))
+
+    def meet(u, v):
+        return span[u][0] <= span[v][1] and span[v][0] <= span[u][1]
+
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2)
+             if meet(u, v) and rng.random() < 0.6]
+    bags = [{v for v in range(n) if span[v][0] <= i <= span[v][1]}
+            for i in range(length)]
+    for fault in rng.sample(FAULTS, rng.randint(0, 2)):
+        if fault == "uncovered":
+            apart = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if not meet(u, v)]
+            if apart:
+                pairs.append(rng.choice(apart))
+        elif fault == "missing":
+            v = rng.randrange(n)
+            for bag in bags:
+                bag.discard(v)
+        elif fault == "gap":
+            inner = [(i, v) for v in range(n)
+                     for i in range(span[v][0] + 1, span[v][1])]
+            if inner:
+                i, v = rng.choice(inner)
+                bags[i].discard(v)
+        else:
+            for bag in bags:
+                if rng.random() < 0.5:
+                    bag.add(n + rng.randrange(3))
+    g = Graph.build(pairs, vertices=range(n))
+    return g, [frozenset(bag) for bag in bags]
+
+
+def test_path_decomposition_validator_matches_quadratic_scan():
+    """Same width or same first message as the quadratic validator."""
+
+    def outcome(validate, g, bags):
+        try:
+            return validate(g, bags)
+        except GraphError as err:
+            return str(err)
+
+    seen = set()
+    for seed in range(400):
+        g, bags = random_decomposition(random.Random(seed))
+        want = outcome(quadratic_path_decomposition_width, g, bags)
+        assert outcome(validate_path_decomposition, g, bags) == want
+        seen.add(want.split()[-1] if isinstance(want, str) else "valid")
+        if any(v not in g.vertices for bag in bags for v in bag):
+            seen.add("stray")
+    assert seen == {"valid", "bag", "contiguous", "covered", "stray"}
 
 
 # ---------------------------------------------------------------------------
