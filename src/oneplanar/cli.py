@@ -33,6 +33,7 @@ from .graph import (
     parse_edge_list,
     parse_vertex_map,
 )
+from .straightening import find_bw_configurations
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -148,7 +149,6 @@ def _cmd_check_embedding(args) -> int:
         return EXIT_FAIL
     print(f"OK: {len(emb.faces)} faces, outer face {emb.outer_face}")
     if args.bw:
-        from .straightening import find_bw_configurations
         configs = [c.to_dict() for c in find_bw_configurations(emb)]
         _write(args.bw, json.dumps(configs, sort_keys=True,
                                    separators=(",", ":")) + "\n")
@@ -253,8 +253,8 @@ def _cmd_lift_bandwidth(args) -> int:
     measured = star.bandwidth(lifted)
     print(f"bandwidth {measured} bound {bound}")
     if args.out:
-        _write(args.out, "\n".join(
-            f"{v} {p}" for v, p in sorted(star.position.items())) + "\n")
+        _write(args.out, "".join(
+            f"{v} {p}\n" for v, p in sorted(star.position.items())))
     if args.graph_out:
         _write(args.graph_out, format_edge_list(lifted))
     _report(args.report, {"bandwidth": measured, "bound": bound,
@@ -265,8 +265,8 @@ def _cmd_lift_bandwidth(args) -> int:
 def _cmd_convex_cert(args) -> int:
     g = _load_graph(args.infile)
     coords = kernel.convex_certificate(g)
-    lines = [f"{v} {x} {y}" for v, (x, y) in sorted(coords.items())]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, "".join(f"{v} {x} {y}\n"
+                             for v, (x, y) in sorted(coords.items())))
     return EXIT_OK
 
 

@@ -117,22 +117,14 @@ class Planarization:
             darts, lambda v: (self.target(d) for d in darts[v]))
 
     def check_genus_zero(self) -> None:
-        """Euler check per connected component: V - E + F == 2."""
-        seg_comp: dict[int, int] = {}
-        comp_of: dict[int, int] = {}
-        for i, comp in enumerate(self.components):
-            for v in comp:
-                comp_of[v] = i
-        counts = [[len(c), 0, 0] for c in self.components]  # V, E, F
-        for s, (a, _) in enumerate(self.segments):
-            counts[comp_of[a]][1] += 1
-            seg_comp[s] = comp_of[a]
-        for cyc in self.faces:
-            counts[seg_comp[cyc[0] >> 1]][2] += 1
-        for v, e, f in counts:
-            if e and v - e + f != 2:
-                raise EmbeddingError(
-                    "genus", f"component has V={v} E={e} F={f}, not genus 0")
+        """Euler check: a component of genus g has V - E + F = 2 - 2g, so
+        the sum over the C components reaches 2C only when all are plane."""
+        v, e, f = len(self.node_darts), len(self.segments), len(self.faces)
+        c = len(self.components)
+        if v - e + f != 2 * c:
+            raise EmbeddingError(
+                "genus",
+                f"V={v} E={e} F={f} over C={c} components, V - E + F != 2C")
 
     def vertex_faces(self, v: int) -> tuple[int, ...]:
         return tuple(sorted({self.face_of[d] for d in self.rotation[v]}))
@@ -176,10 +168,11 @@ class CrossingPair:
 
 @dataclass(frozen=True)
 class Arc:
-    """A walk through the host graph, used to trace degree-2 paths."""
+    """A walk through the host graph, used to trace degree-2 paths;
+    ``walk`` is its vertex sequence, first == last for a closed walk."""
 
     edges: tuple[int, ...]
-    endpoints: tuple[int, int]
+    walk: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ object and preserves vertex/edge ids where the result contains them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, Container, Iterable, Optional
 
@@ -27,8 +27,6 @@ class Graph:
 
     vertices: frozenset[int]
     edges: dict[int, tuple[int, int]]
-    vertex_labels: dict[int, str] = field(default_factory=dict)
-    edge_labels: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         seen: set[tuple[int, int]] = set()
@@ -92,12 +90,6 @@ class Graph:
     def incident_edges(self, v: int) -> tuple[int, ...]:
         return tuple(e for _, e in self.adjacency[v])
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.edges[e]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._pair_to_edge
-
     def edge_between(self, u: int, v: int) -> Optional[int]:
         return self._pair_to_edge.get((u, v) if u < v else (v, u))
 
@@ -121,17 +113,13 @@ class Graph:
         keep = frozenset(vs)
         edges = {e: p for e, p in self.edges.items()
                  if p[0] in keep and p[1] in keep}
-        return Graph(keep, edges,
-                     {v: l for v, l in self.vertex_labels.items() if v in keep},
-                     {e: l for e, l in self.edge_labels.items() if e in edges})
+        return Graph(keep, edges)
 
     def subgraph_of_edges(self, edge_ids: Iterable[int]) -> "Graph":
         keep = set(edge_ids)
         edges = {e: self.edges[e] for e in keep}
         vs = frozenset(v for p in edges.values() for v in p)
-        return Graph(vs, edges,
-                     {v: l for v, l in self.vertex_labels.items() if v in vs},
-                     {e: l for e, l in self.edge_labels.items() if e in edges})
+        return Graph(vs, edges)
 
     def remove_vertices(self, vs: Iterable[int]) -> "Graph":
         return self.induced_subgraph(self.vertices - frozenset(vs))
@@ -568,15 +556,12 @@ def subdivide_all_edges(g: Graph, k: int) -> Graph:
         return g
     nxt = max(g.vertices, default=-1) + 1
     pairs: list[tuple[int, int]] = []
-    vlabels = dict(g.vertex_labels)
     for e in sorted(g.edges):
         u, v = g.edges[e]
         chain = [u]
         for _ in range(k - 1):
             chain.append(nxt)
-            vlabels[nxt] = f"subdivision:{e}"
             nxt += 1
         chain.append(v)
         pairs.extend(zip(chain, chain[1:]))
-    out = Graph.build(pairs, vertices=g.vertices)
-    return Graph(out.vertices, out.edges, vlabels, {})
+    return Graph.build(pairs, vertices=g.vertices)

@@ -110,24 +110,15 @@ def kernelize(g: Graph, variant: str, k: Optional[int] = None) -> KernelResult:
             j = i
             break
 
-    if j is None:
-        provenance = {}
-        for i, path in enumerate(dec.paths):
-            for seg, e in enumerate(path):
-                provenance[e] = ("path", i + 1, seg)
-        plan = KernelPlan(variant, dec, p, ell, None, None,
-                          ("kept",) * p, tuple(prefix))
-        return KernelResult(pruned, plan, provenance)
-
-    threshold = _threshold(variant, p, prefix[j - 1])
+    threshold = None if j is None else _threshold(variant, p, prefix[j - 1])
     pairs: list[tuple[int, int]] = []
     origins: list[tuple] = []
     classification = []
-    fresh = max(pruned.vertices) + 1
     for i in range(1, p + 1):
         walk = list(dec.vertex_paths[i - 1])
-        if i < j or dec.lengths[i - 1] <= threshold:
-            classification.append("kept" if i < j else "shortened")
+        kept = j is None or i < j
+        if kept or dec.lengths[i - 1] <= threshold:
+            classification.append("kept" if kept else "shortened")
             for seg, (u, v) in enumerate(zip(walk, walk[1:])):
                 pairs.append((u, v))
                 origins.append(("path", i, seg))

@@ -17,7 +17,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, GraphError, LinearOrdering, degree2_walks
+from .graph import (
+    Graph,
+    GraphError,
+    LinearOrdering,
+    degree2_walks,
+    feedback_edge_set,
+)
 
 
 @dataclass(frozen=True)
@@ -118,19 +124,25 @@ def verify_frame() -> None:
 
 @dataclass(frozen=True)
 class LabeledInstance:
+    """The hardness instance with the construction part of every vertex
+    and edge: frame, k6-gadget:i, red-left, red-right, purple,
+    diamond-vertex:i and diamond:i."""
+
     graph: Graph
     distinguished: dict[str, int]
     items: tuple[int, ...]
     bins: int
     capacity: int
     gadget_count: int
+    vertex_labels: dict[int, str]
+    edge_labels: dict[int, str]
 
     def vertices_with_label(self, label: str) -> list[int]:
-        return sorted(v for v, l in self.graph.vertex_labels.items()
+        return sorted(v for v, l in self.vertex_labels.items()
                       if l == label or l.startswith(label + ":"))
 
     def edges_with_label(self, label: str) -> list[int]:
-        return sorted(e for e, l in self.graph.edge_labels.items()
+        return sorted(e for e, l in self.edge_labels.items()
                       if l == label or l.startswith(label + ":"))
 
 
@@ -207,9 +219,8 @@ def gen_binpack_instance(inst: BinPackInstance, raw: bool = False
             add_edge(mid, t, f"diamond:{ui}")
 
     g = Graph.build(pairs, vertices=range(FRAME_VERTICES))
-    edge_labels = {e: elabel[p] for e, p in g.edges.items()}
-    g = Graph(g.vertices, g.edges, vlabel, edge_labels)
-    return LabeledInstance(g, names, sizes, K, B, FRAME_EDGES)
+    return LabeledInstance(g, names, sizes, K, B, FRAME_EDGES, vlabel,
+                           {e: elabel[p] for e, p in g.edges.items()})
 
 
 def expected_counts(li: LabeledInstance) -> tuple[int, int]:
@@ -231,13 +242,11 @@ def fvs_witness(li: LabeledInstance) -> frozenset[int]:
     gadget; verified acyclic by construction check."""
     out = set(range(FRAME_VERTICES))
     by_label: dict[str, list[int]] = {}
-    for v, label in li.graph.vertex_labels.items():
+    for v, label in li.vertex_labels.items():
         by_label.setdefault(label, []).append(v)
     for gi in range(li.gadget_count):
         out.update(sorted(by_label.get(f"k6-gadget:{gi}", ()))[:2])
-    rest = li.graph.remove_vertices(out)
-    from .graph import feedback_edge_set
-    if feedback_edge_set(rest).ell != 0:
+    if feedback_edge_set(li.graph.remove_vertices(out)).ell != 0:
         raise GraphError("witness does not hit every cycle")
     return frozenset(out)
 
@@ -333,7 +342,6 @@ def _replace_with_copies(g: Graph, h: TwoTerminalGadget
                          ) -> tuple[Graph, dict[int, dict[int, int]]]:
     nxt = max(g.vertices, default=-1) + 1
     pairs: list[tuple[int, int]] = []
-    vlabels: dict[int, str] = dict(g.vertex_labels)
     copies: dict[int, dict[int, int]] = {}
     for e in sorted(g.edges):
         u, v = g.edges[e]  # alpha to the smaller endpoint
@@ -342,13 +350,11 @@ def _replace_with_copies(g: Graph, h: TwoTerminalGadget
             if w in (h.alpha, h.beta):
                 continue
             mapping[w] = nxt
-            vlabels[nxt] = f"gadget-internal:{e}"
             nxt += 1
         copies[e] = mapping
         for x, y in h.graph.edges.values():
             pairs.append((mapping[x], mapping[y]))
-    out = Graph.build(pairs, vertices=g.vertices)
-    return Graph(out.vertices, out.edges, vlabels, {}), copies
+    return Graph.build(pairs, vertices=g.vertices), copies
 
 
 def replace_edges_with_gadget(g: Graph, h: TwoTerminalGadget) -> Graph:

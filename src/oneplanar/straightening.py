@@ -105,9 +105,9 @@ def candidate_configurations(emb: PlaneEmbedding) -> list[_Candidate]:
         e1, e2 = c.edges
         for a in g.edges[e1]:
             for b in g.edges[e2]:
-                if not g.has_edge(a, b):
-                    continue
                 ab = g.edge_between(a, b)
+                if ab is None:
+                    continue
                 cyc = {emb.strand(e1, a, c.dummy),
                        emb.strand(e2, b, c.dummy),
                        *emb.edge_segments(ab)}

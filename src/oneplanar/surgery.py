@@ -62,16 +62,9 @@ def arc_system(host: PlaneEmbedding, static_edges: Iterable[int]) -> ArcSystem:
                    if g.degree(v) == 2
                    and all(e in flexible for e in g.incident_edges(v))}
 
-    arcs = tuple(Arc(edges, (verts[0], verts[-1]))
-                 for edges, verts in degree2_walks(g, flexible, internal_ok))
+    arcs = tuple(Arc(edges, walk)
+                 for edges, walk in degree2_walks(g, flexible, internal_ok))
     return ArcSystem(host, static, arcs)
-
-
-def arc_vertex_walk(g: Graph, arc: Arc) -> tuple[int, ...]:
-    verts = [arc.endpoints[0]]
-    for e in arc.edges:
-        verts.append(g.other_end(e, verts[-1]))
-    return tuple(verts)
 
 
 def arc_system_to_json(sys_: ArcSystem) -> str:
@@ -163,15 +156,13 @@ class Arrangement:
             edge_dir[e] = True
             cid += 1
         for ai, arc in enumerate(sys.arcs):
-            walk = arc_vertex_walk(g, arc)
+            walk = arc.walk
             closed = walk[0] == walk[-1]
             arr.curves[cid] = _Curve("arc", ai, walk[0], walk[-1], closed, [])
             curve_edges[cid] = list(arc.edges)
-            at = walk[0]
-            for e in arc.edges:
+            for e, at in zip(arc.edges, walk):
                 curve_of_edge[e] = cid
                 edge_dir[e] = at == min(g.edges[e])
-                at = g.other_end(e, at)
             cid += 1
 
         strand_pid: dict[tuple[int, int], int] = {}  # (node, edge) -> pid
@@ -202,8 +193,7 @@ class Arrangement:
 
         smoothed: set[int] = set()
         for arc in sys.arcs:
-            walk = arc_vertex_walk(g, arc)
-            smoothed.update(walk[1:-1])
+            smoothed.update(arc.walk[1:-1])
         for v in sorted(g.vertices):
             if v in smoothed:
                 continue
@@ -531,15 +521,11 @@ def reshorten(simplified: SimplifiedSystem, target: int,
     if len({(min(p), max(p)) for p in pairs}) != len(pairs):
         raise GraphError("target produces parallel edges between endpoints")
     out_graph = Graph.build(pairs)
-    pair_id = {}
-    for e, (u, v) in out_graph.edges.items():
-        pair_id[(u, v)] = e
-        pair_id[(v, u)] = e
 
     def edge_at(cid: int, walk_pos: int) -> tuple[int, bool]:
         """Edge id at walk position, plus whether the walk runs low->high."""
         u, v = walk_edge_pairs[cid][walk_pos]
-        return pair_id[(u, v)], u < v
+        return out_graph.edge_between(u, v), u < v
 
     # crossing t of an arc sits on walk edge slot(t); the end edges touch
     # real vertices, so they are used only when the demand forces it

@@ -250,7 +250,7 @@ def test_criterion_8_reduction_structure():
     assert len(li.edges_with_label("red-right")) == 8
     assert len(li.edges_with_label("purple")) == 1
     sizes = sorted(
-        sum(1 for v, l in li.graph.vertex_labels.items()
+        sum(1 for v, l in li.vertex_labels.items()
             if l == f"diamond:{ui}")
         for ui in range(4))
     assert sizes == [1, 2, 2, 3]

@@ -192,6 +192,23 @@ def test_kernelize_cli(tmp_path):
     assert payload["j"] == 2 and payload["threshold"] == 3
 
 
+def test_kernelize_report_provenance_when_no_path_is_shortened(tmp_path):
+    """K4 less an edge plus the pendant edge 0 9: no path meets its
+    threshold, so every path is kept, and the provenance is keyed by the
+    edge ids of the written kernel, not those of the input."""
+    infile = tmp_path / "in.edges"
+    infile.write_text("0 1\n0 2\n0 9\n1 2\n1 3\n2 3\n")
+    out, report = tmp_path / "kernel.edges", tmp_path / "report.json"
+    assert main(["kernelize", "--variant", "1p", "--in", str(infile),
+                 "--out", str(out), "--report", str(report)]) == 0
+    assert out.read_text() == "0 1\n0 2\n1 2\n1 3\n2 3\n"
+    payload = json.loads(report.read_text())
+    assert payload["j"] is None and payload["threshold"] is None
+    assert payload["classification"] == ["kept"] * payload["p"]
+    assert list(payload["provenance"]) == [str(e) for e in range(5)]
+    assert payload["edges"] == 5
+
+
 def test_td_run_cli(tmp_path, capsys):
     infile = write_graph(tmp_path, "k4.edges", complete_graph(4))
     log = str(tmp_path / "log.json")
@@ -301,6 +318,30 @@ def test_convex_cert_cli(tmp_path):
     out = str(tmp_path / "coords.txt")
     assert main(["convex-cert", "--in", infile, "--out", out]) == 0
     assert len(Path(out).read_text().splitlines()) == 5
+
+
+def test_convex_cert_of_no_edges_is_an_empty_file(tmp_path):
+    infile = tmp_path / "empty.edges"
+    infile.write_text("")
+    out = tmp_path / "coords.txt"
+    assert main(["convex-cert", "--in", str(infile), "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+
+
+def test_lift_bandwidth_of_an_empty_graph_writes_an_empty_file(tmp_path,
+                                                               capsys):
+    graph, ordering = tmp_path / "empty.edges", tmp_path / "order.txt"
+    graph.write_text("")
+    ordering.write_text("")
+    gadget = tmp_path / "gadget.json"
+    gadget.write_text(json.dumps(
+        {"edges": [[0, 1], [1, 2], [0, 2]], "alpha": 0, "beta": 1}))
+    out, graph_out = tmp_path / "order.out", tmp_path / "lifted.edges"
+    assert main(["lift-bandwidth", "--graph", str(graph), "--ordering",
+                 str(ordering), "--gadget", str(gadget), "--out", str(out),
+                 "--graph-out", str(graph_out)]) == 0
+    assert capsys.readouterr().out == "bandwidth 0 bound 1\n"
+    assert out.read_bytes() == b"" and graph_out.read_bytes() == b""
 
 
 def test_simplify_cli_round_trip(tmp_path):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from oneplanar.embedding import (
     EmbeddingError,
+    Planarization,
     build_embedding,
     crossing_orientation,
     embedding_from_json,
@@ -12,7 +16,12 @@ from oneplanar.embedding import (
 )
 from oneplanar.graph import Graph
 
-from conftest import complete_graph, cycle_graph, wheel_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    random_connected_graph,
+    wheel_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +314,74 @@ def test_scrambled_rotations_match_euler(rng):
             rejected += 1
         assert ok_validator == ok_independent
     assert accepted and rejected
+
+
+# ---------------------------------------------------------------------------
+# One Euler sum vs the per-component check it replaced
+# ---------------------------------------------------------------------------
+
+def _per_component_genus_zero(plan: Planarization) -> None:
+    """The former body of ``Planarization.check_genus_zero``: V - E + F == 2
+    on every connected component, counted separately."""
+    seg_comp: dict[int, int] = {}
+    comp_of: dict[int, int] = {}
+    for i, comp in enumerate(plan.components):
+        for v in comp:
+            comp_of[v] = i
+    counts = [[len(c), 0, 0] for c in plan.components]  # V, E, F
+    for s, (a, _) in enumerate(plan.segments):
+        counts[comp_of[a]][1] += 1
+        seg_comp[s] = comp_of[a]
+    for cyc in plan.faces:
+        counts[seg_comp[cyc[0] >> 1]][2] += 1
+    for v, e, f in counts:
+        if e and v - e + f != 2:
+            raise EmbeddingError(
+                "genus", f"component has V={v} E={e} F={f}, not genus 0")
+
+
+def _random_planarization(rng: random.Random) -> Planarization:
+    """One to three disjoint random connected multigraph components (trees,
+    cycles and denser graphs, sometimes with a parallel segment) under a
+    random rotation system."""
+    segments: list[tuple[int, int]] = []
+    base = 0
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        n = rng.randint(2, 7)
+        extra = rng.choice((0, 1, rng.randint(0, 2 * n)))
+        g = random_connected_graph(rng, n, extra)
+        pairs = sorted(g.edges.values())
+        if pairs and rng.random() < 0.2:
+            pairs.append(rng.choice(pairs))
+        segments.extend((base + u, base + v) for u, v in pairs)
+        base += n
+    rotation: dict[int, list[int]] = {}
+    for s, (a, b) in enumerate(segments):
+        rotation.setdefault(a, []).append(2 * s)
+        rotation.setdefault(b, []).append(2 * s + 1)
+    for darts in rotation.values():
+        rng.shuffle(darts)
+    return Planarization(tuple(segments),
+                         {v: tuple(d) for v, d in rotation.items()})
+
+
+def _genus_error(check, plan: Planarization) -> bool:
+    try:
+        check(plan)
+    except EmbeddingError as err:
+        assert err.kind == "genus"
+        return True
+    return False
+
+
+def test_euler_sum_matches_per_component_check():
+    rng = random.Random(20260417)
+    outcomes: Counter = Counter()
+    for _ in range(400):
+        plan = _random_planarization(rng)
+        want = _genus_error(_per_component_genus_zero, plan)
+        assert _genus_error(Planarization.check_genus_zero, plan) == want
+        outcomes[want, min(len(plan.components), 2)] += 1
+    # plane and non-plane drawings, each both connected and disconnected
+    assert all(outcomes[want, comps] >= 20
+               for want in (False, True) for comps in (1, 2)), outcomes

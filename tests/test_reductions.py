@@ -118,8 +118,8 @@ def test_gadgets_share_only_attachments():
 
 def test_labels_cover_everything():
     li = gen_binpack_instance(FIG, raw=True)
-    assert set(li.graph.vertex_labels) == set(li.graph.vertices)
-    assert set(li.graph.edge_labels) == set(li.graph.edges)
+    assert set(li.vertex_labels) == set(li.graph.vertices)
+    assert set(li.edge_labels) == set(li.graph.edges)
 
 
 # ---------------------------------------------------------------------------
