@@ -87,18 +87,67 @@ def _load_thresholds(text: str) -> td_pipeline.Thresholds:
     with _malformed("--override-thresholds"):
         raw = json.loads(text)
     if (not isinstance(raw, dict) or not set(raw) <= set(THRESHOLD_KEYS)
-            or any(v is not None and type(v) is not int
+            or any(v is not None and (type(v) is not int or v < 0)
                    for v in raw.values())):
         raise GraphError(
-            "--override-thresholds: expected a JSON object with integer "
-            f"values under keys among {', '.join(THRESHOLD_KEYS)}, got {text!r}")
+            "--override-thresholds: expected a JSON object with non-negative "
+            f"integer values under keys among {', '.join(THRESHOLD_KEYS)}, "
+            f"got {text!r}")
     return td_pipeline.Thresholds(
         **{THRESHOLD_KEYS[k]: v for k, v in raw.items()})
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # as json.dumps does
+
+
+def _json_text(payload) -> str:
+    """What ``json.dumps(payload, sort_keys=True, indent=2)`` writes, for
+    dicts with str keys, lists, tuples and leaves of type str, int, bool
+    and None; anything else raises TypeError.  The stdlib takes its
+    pure-Python path when it indents; this writer is faster, and it encodes
+    a dict met twice at the same depth only once (a delete event is in both
+    ``deletions`` and ``log``)."""
+    done: dict[tuple[int, int], str] = {}
+
+    def text(o, pad: str) -> str:
+        kind = type(o)
+        if kind is str:
+            return _encode_str(o)
+        if kind is int:
+            return repr(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            return ("[\n" + inner + sep.join([text(x, inner) for x in o])
+                    + "\n" + pad + "]")
+        if isinstance(o, dict):
+            out = done.get((id(o), len(pad)))
+            if out is None:
+                # a key that is not a str fails in sorted or _encode_str,
+                # both with TypeError
+                out = done[id(o), len(pad)] = "{}" if not o else (
+                    "{\n" + inner
+                    + sep.join([_encode_str(k) + ": " + text(o[k], inner)
+                                for k in sorted(o)])
+                    + "\n" + pad + "}")
+            return out
+        raise TypeError(
+            f"Object of type {kind.__name__} is not JSON serializable")
+
+    return text(payload, "")
+
+
 def _report(path: str | None, payload: dict) -> None:
     if path:
-        _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write(path, _json_text(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -600,18 +600,24 @@ def canonical_key(g: Graph, anchors: tuple[int, ...] = ()):
     tracer wraps this function by its name."""
     order = list(anchors)
     label = {v: i for i, v in enumerate(order)}
-    roots = iter(sorted(g.vertices))
+    adjacency = g.adjacency
+    roots = None  # the sorted vertices, once a search runs out
     for head in range(g.n):
         if head == len(order):  # the search ran out: start a new one
+            if roots is None:
+                roots = iter(sorted(g.vertices))
             order.append(next(v for v in roots if v not in label))
             label[order[head]] = head
-        for w, _ in g.adjacency[order[head]]:
+        for w, _ in adjacency[order[head]]:
             if w not in label:
                 label[w] = len(order)
                 order.append(w)
-    return (g.n, len(anchors),
-            tuple(sorted((min(label[u], label[v]), max(label[u], label[v]))
-                         for u, v in g.edges.values())))
+    pairs = []
+    for u, v in g.edges.values():
+        lu, lv = label[u], label[v]
+        pairs.append((lu, lv) if lu < lv else (lv, lu))
+    pairs.sort()
+    return (g.n, len(anchors), tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

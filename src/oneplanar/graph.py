@@ -84,8 +84,13 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
+    @cached_property
+    def _neighbors(self) -> dict[int, tuple[int, ...]]:
+        return {v: tuple([w for w, _ in nbrs])
+                for v, nbrs in self.adjacency.items()}
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.adjacency[v])
+        return self._neighbors[v]
 
     def incident_edges(self, v: int) -> tuple[int, ...]:
         return tuple(e for _, e in self.adjacency[v])
@@ -424,25 +429,20 @@ def decompose_degree2_paths(g: Graph) -> Degree2PathDecomposition:
     )
 
 
-def block_cut_tree(g: Graph) -> BlockCutTree:
-    """Biconnected components via iterative lowpoint DFS. Rejects
-    disconnected input; callers split components first."""
-    if not g.vertices:
-        raise GraphError("empty graph")
-
-    disc: dict[int, int] = {}
+def lowpoint_blocks(g: Graph, start: int, disc: dict[int, int]
+                    ) -> tuple[list[frozenset[int]], set[int]]:
+    """The blocks and cut vertices of the component of g holding ``start``,
+    by one iterative lowpoint DFS from it; ``disc`` gets the discovery time
+    of every vertex the search reaches and must hold none of them.  A
+    vertex without edges gives no block."""
     low: dict[int, int] = {}
-    parent_edge: dict[int, Optional[int]] = {}
+    parent_edge: dict[int, Optional[int]] = {start: None}
     edge_stack: list[int] = []
-    blocks_edges: list[list[int]] = []
+    blocks: list[frozenset[int]] = []
     cuts: set[int] = set()
-    timer = 0
 
-    start = min(g.vertices)
     # frames: (vertex, iterator over (neighbor, edge))
-    disc[start] = low[start] = timer
-    timer += 1
-    parent_edge[start] = None
+    disc[start] = low[start] = len(disc)
     stack = [(start, iter(g.adjacency[start]))]
     root_children = 0
     while stack:
@@ -452,8 +452,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
             if e == parent_edge[v]:
                 continue
             if w not in disc:
-                disc[w] = low[w] = timer
-                timer += 1
+                disc[w] = low[w] = len(disc)
                 parent_edge[w] = e
                 edge_stack.append(e)
                 stack.append((w, iter(g.adjacency[w])))
@@ -478,21 +477,27 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                     blk.append(e)
                     if e == parent_edge[v]:
                         break
-                blocks_edges.append(blk)
-                if u != start or root_children > 1:
+                blocks.append(frozenset(x for e in blk for x in g.edges[e]))
+                if u != start:
                     cuts.add(u)
-    if len(disc) != g.n:
-        raise GraphError("block_cut_tree requires a connected graph")
-
-    if g.m == 0:  # single vertex
-        return BlockCutTree((frozenset(g.vertices),), frozenset())
-
-    blocks = tuple(frozenset(x for e in blk for x in g.edges[e])
-                   for blk in blocks_edges)
     # the start vertex is a cut vertex iff it got >= 2 DFS children
     if root_children > 1:
         cuts.add(start)
-    return BlockCutTree(blocks, frozenset(cuts))
+    return blocks, cuts
+
+
+def block_cut_tree(g: Graph) -> BlockCutTree:
+    """Biconnected components via iterative lowpoint DFS. Rejects
+    disconnected input; callers split components first."""
+    if not g.vertices:
+        raise GraphError("empty graph")
+    disc: dict[int, int] = {}
+    blocks, cuts = lowpoint_blocks(g, min(g.vertices), disc)
+    if len(disc) != g.n:
+        raise GraphError("block_cut_tree requires a connected graph")
+    if g.m == 0:  # single vertex
+        return BlockCutTree((frozenset(g.vertices),), frozenset())
+    return BlockCutTree(tuple(blocks), frozenset(cuts))
 
 
 def treedepth_decomposition(g: Graph) -> TreedepthDecomposition:

@@ -12,7 +12,9 @@ exercised at all on instances small enough for the brute-force oracle.
 
 `normalize_decomposition` makes the input decomposition its elimination
 tree, whose subtrees are connected, before the graph is split into
-components; each tree then spans one component.  Phase II visits the cut
+components; each tree then spans one component.  Phase I visits only the
+internal nodes of the decomposition, deepest first: neither Rule I nor Rule
+II fires at a node without children.  Phase II visits the cut
 vertices of the block forest Phase I leaves once each, deepest first, then
 by label, and reads every branch from that one forest: Rule III at v
 deletes only blocks below v, whose cut vertices come earlier, and no other
@@ -25,9 +27,13 @@ both are immutable and every deletion assigns new ones, so any reassignment
 invalidates the cache.  Two things are cached:
 
 * the block forest of the graph: the block-cut tree of every component,
-  rooted at its smallest cut vertex, with the blocks holding each vertex.
-  It answers "do a and b lie in a common block?" for Phase I and
-  `rules_apply_below`, and gives Phase II its cut vertices and branches;
+  rooted at its smallest cut vertex, with the blocks holding each vertex
+  (a disconnected graph gets one lowpoint search per component on the
+  graph itself, not an induced subgraph per component).  It answers "do
+  a and b lie in a common block?" for the Rule II pairs of Phase I and
+  `rules_apply_below` that are not joined by an edge (an edge lies in a
+  block, so adjacent a and b share one without a forest), and gives
+  Phase II its cut vertices and branches;
 * the attachment set of every decomposition node, bottom-up:
   att(c) = (N(c) | union of att(children)) - desc(c), which on a valid
   decomposition is ((N(c) & anc(c)) | union of att(children)) - {c};
@@ -58,6 +64,7 @@ from .graph import (
     GraphError,
     TreedepthDecomposition,
     block_cut_tree,
+    lowpoint_blocks,
     parse_vertex_map,
     treedepth_decomposition,
 )
@@ -271,7 +278,10 @@ def _rule2_pairs(ctx: TDContext, v: int) -> Iterator[tuple[int, int]]:
                     for x in _rule2_groups(ctx, v)),
                    key=lambda ab: (level[ab[0]], level[ab[1]]))
     for a, b in pairs:
-        if ctx.blocks().share_block(a, b):
+        # the edge ab lies in a block, so only a non-adjacent pair needs
+        # the block forest
+        if (ctx.graph.edge_between(a, b) is not None
+                or ctx.blocks().share_block(a, b)):
             yield a, b
 
 
@@ -370,12 +380,15 @@ class _BlockForest:
 def _block_forest(g: Graph) -> _BlockForest:
     blocks: list[frozenset[int]] = []
     cuts: set[int] = set()
+    disc: dict[int, int] = {}
     for comp in g.components():
-        if len(comp) > 1:
-            bct = block_cut_tree(g if len(comp) == g.n
-                                 else g.induced_subgraph(comp))
-            blocks.extend(bct.blocks)
-            cuts |= bct.cut_vertices
+        if len(comp) == g.n > 1:
+            bct = block_cut_tree(g)
+            blocks, cuts = list(bct.blocks), set(bct.cut_vertices)
+        elif len(comp) > 1:  # one lowpoint search on g itself, no subgraph
+            more, more_cuts = lowpoint_blocks(g, min(comp), disc)
+            blocks += more
+            cuts |= more_cuts
     at: dict[int, list[int]] = {}
     for i, blk in enumerate(blocks):
         for x in blk:
@@ -483,11 +496,14 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
     ctx = TDContext(g, decomposition, decomposition.depth, thresholds,
                     oracle, oracle_cap)
 
-    # Phase I: Rules I and II bottom-up over the decomposition
+    # Phase I: Rules I and II bottom-up over the internal nodes of the
+    # decomposition; neither rule fires at a node without children
     levels = ctx.decomposition.levels
-    for v in sorted(levels, key=lambda u: (-levels[u], u)):
-        if v not in ctx.decomposition.parent:
-            continue  # removed by an earlier deletion
+    children = ctx.decomposition.children
+    for v in sorted((u for u in levels if children[u]),
+                    key=lambda u: (-levels[u], u)):
+        if not ctx.decomposition.children.get(v):
+            continue  # removed, or left a leaf, by an earlier deletion
         if apply_rule1(ctx, v) is not None:
             return _outcome(ctx, "rejected", False)
         for a, b in _rule2_pairs(ctx, v):

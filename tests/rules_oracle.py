@@ -20,7 +20,12 @@
 * ``canonical_key`` is the memo key that came before the breadth-first
   relabeling: colour refinement, then the least edge list over the
   orderings within colour classes, or the labeled graph when there are more
-  than 1000 of them.
+  than 1000 of them;
+* ``bfs_key`` is the breadth-first memo key as first written, sorting the
+  vertices on every call and each edge pair with ``min`` and ``max``;
+* ``block_forest`` is the start of the old ``_block_forest``: a component
+  search, then an induced subgraph and a ``block_cut_tree`` for every
+  component that is not the whole graph.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from oneplanar.graph import (
     Graph,
     GraphError,
     TreedepthDecomposition,
+    block_cut_tree,
     connected_components,
     treedepth_decomposition,
 )
@@ -317,3 +323,38 @@ def canonical_key(g: Graph, anchors: tuple[int, ...] = ()):
         if best is None or sig < best[0]:
             best = (sig, tuple(idx[a] for a in anchors))
     return ("canon", g.n) + best
+
+
+def bfs_key(g: Graph, anchors: tuple[int, ...] = ()):
+    order = list(anchors)
+    label = {v: i for i, v in enumerate(order)}
+    roots = iter(sorted(g.vertices))
+    for head in range(g.n):
+        if head == len(order):  # the search ran out: start a new one
+            order.append(next(v for v in roots if v not in label))
+            label[order[head]] = head
+        for w, _ in g.adjacency[order[head]]:
+            if w not in label:
+                label[w] = len(order)
+                order.append(w)
+    return (g.n, len(anchors),
+            tuple(sorted((min(label[u], label[v]), max(label[u], label[v]))
+                         for u, v in g.edges.values())))
+
+
+# ---------------------------------------------------------------------------
+# The block forest
+# ---------------------------------------------------------------------------
+
+def block_forest(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
+    """The blocks, in order, and the cut vertices of the components of g
+    with an edge."""
+    blocks: list[frozenset[int]] = []
+    cuts: set[int] = set()
+    for comp in g.components():
+        if len(comp) > 1:
+            bct = block_cut_tree(g if len(comp) == g.n
+                                 else g.induced_subgraph(comp))
+            blocks.extend(bct.blocks)
+            cuts |= bct.cut_vertices
+    return blocks, cuts

@@ -471,6 +471,25 @@ def test_malformed_input_exits_one_with_one_line(tmp_path, capsys, case):
     assert len(err.splitlines()) == 1 and err.startswith("ERROR: ")
 
 
+@pytest.mark.parametrize("key", ["rule1", "rule2-baseline", "rule2-reject",
+                                 "rule3-reject"])
+def test_td_run_rejects_a_negative_threshold(tmp_path, capsys, key):
+    """A negative Rule II baseline would slice ``sorted(children)[-1:]`` and
+    test only the last child of K2,N+ab; every negative threshold ends in
+    one ERROR line, before the pipeline runs or a log is written."""
+    g = Graph.build([(0, 1)] + [(a, v) for a in (0, 1) for v in range(2, 40)])
+    dec = tmp_path / "td.txt"
+    dec.write_text("0 -1\n1 0\n" + "".join(f"{v} 1\n" for v in range(2, 40)))
+    log = tmp_path / "log.json"
+    assert main(["td-run", "--in", write_graph(tmp_path, "g.edges", g),
+                 "--decomposition", str(dec), "--log", str(log),
+                 "--override-thresholds", json.dumps({key: -1})]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not log.exists()
+    assert err.startswith("ERROR: ") and len(err.splitlines()) == 1
+    assert "non-negative" in err
+
+
 # ---------------------------------------------------------------------------
 # Error contract: a path that cannot be read or written exits 2
 # ---------------------------------------------------------------------------

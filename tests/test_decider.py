@@ -440,6 +440,18 @@ def test_canonical_key_equal_implies_old_key_equal(rng):
     assert shared >= 150
 
 
+def test_canonical_key_matches_its_first_body(rng):
+    """The key sorts the vertices only when a search runs out and orders
+    each edge pair without min and max; the keys are those of the first
+    body, on 10 000 seeded graphs with 0 to 2 anchors."""
+    checked = 0
+    for case in key_cases(rng, 2500):
+        for g, anchors in case:
+            assert canonical_key(g, anchors) == oracle.bfs_key(g, anchors)
+            checked += 1
+    assert checked == 10_000
+
+
 def test_accepted_outer_matches_the_two_branch_loop(rng):
     """The one acceptance test picks the outer face the old topological and
     geometric branches picked, on every rotation system of the graphs

@@ -589,6 +589,54 @@ def test_block_cut_tree_built_once_per_graph_version(monkeypatch):
     assert len(calls) <= 3
 
 
+def test_k2n_ab_builds_one_block_cut_tree(monkeypatch):
+    """Every Rule II pair of K2,N+ab is the edge ab, so Phase I needs no
+    block forest; Phase II builds one, on the graph Rule II leaves."""
+    from oneplanar import td_pipeline
+    calls = []
+    real = td_pipeline.block_cut_tree
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(td_pipeline, "block_cut_tree", counting)
+    g, dec = k2n_ab(120)
+    out = run_pipeline(g, decomposition=dec)
+    assert out.result == "reduced" and len(out.deletions) == 111
+    assert calls == [11]
+
+
+def disconnected_graph(rng) -> Graph:
+    """One to four seeded connected parts, some of them single vertices,
+    on shuffled ids."""
+    pairs, vertices, nxt = [], [], 0
+    for _ in range(rng.randint(1, 4)):
+        n = rng.randint(1, 7)
+        part = random_connected_graph(rng, n, rng.randint(0, 4))
+        pairs += [(u + nxt, v + nxt) for u, v in part.edges.values()]
+        vertices += [v + nxt for v in part.vertices]
+        nxt += n
+    ids = rng.sample(range(3 * nxt), nxt)
+    return Graph.build([(ids[u], ids[v]) for u, v in pairs],
+                       vertices=[ids[v] for v in vertices])
+
+
+def test_block_forest_matches_the_per_component_route(rng):
+    """One lowpoint search per component on the graph itself gives the
+    blocks, in order, and the cut vertices of a block-cut tree per induced
+    component."""
+    from oneplanar.td_pipeline import _block_forest
+    split = 0
+    for _ in range(300):
+        g = disconnected_graph(rng)
+        blocks, cuts = oracle.block_forest(g)
+        forest = _block_forest(g)
+        assert forest.blocks == blocks and set(forest.depth) == cuts
+        split += len(g.components()) > 1
+    assert split >= 150
+
+
 def test_phase_two_reads_one_block_forest(monkeypatch):
     """Rule III deletes one leaf of the path per cut vertex; every branch
     is read from the forest Phase II starts with, so one block-cut tree is
