@@ -196,7 +196,8 @@ def _cmd_check_embedding(args) -> int:
     except (EmbeddingError, GraphError, KeyError, ValueError) as err:
         print(f"INVALID: {err}")
         return EXIT_FAIL
-    print(f"OK: {len(emb.faces)} faces, outer face {emb.outer_face}")
+    print(f"OK: {len(emb.planarization.faces)} faces, "
+          f"outer face {emb.outer_face}")
     if args.bw:
         configs = [c.to_dict() for c in find_bw_configurations(emb)]
         _write(args.bw, json.dumps(configs, sort_keys=True,

@@ -723,7 +723,7 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
             if want_witness:
                 witness = dataclasses.replace(
                     emb, outer=emb.planarization.faces[outer][0])
-                validate_embedding(witness, k=pred.k)
+                validate_embedding(witness)
             return Verdict(True, witness, stats)
     return Verdict(False, None, stats)
 
@@ -797,7 +797,7 @@ def decide(g: Graph, pred: Predicate, cap: int = DEFAULT_EDGE_CAP,
         answer = all(run(c, plain) for c in comps)
     elif pred.variant == "a-outer":
         answer = all(
-            run(c, dataclasses.replace(pred) if pred.a in c else plain)
+            run(c, pred if pred.a in c else plain)
             for c in comps)
     else:
         ca, cb = comp_of[pred.a], comp_of[pred.b]

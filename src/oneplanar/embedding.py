@@ -10,11 +10,14 @@ the dart's own face.
 Inside, a dart is an int ``2*segment + end`` of the planarization: the
 rotations and the outer dart of a ``PlaneEmbedding`` are stored that way.
 Encoded darts ``(edge, end, seg)`` appear only at the boundary: in
-``build_embedding``'s input, in the JSON format, in ``PlaneEmbedding.faces``
-and in ``dart_to_int``/``int_to_dart``.  There ``end`` 0 points from the
-edge's smaller endpoint toward the larger one and 1 the reverse, and ``seg``
-indexes the planarization segment along the edge (0 for uncrossed edges, in
-which case JSON omits it).
+``build_embedding``'s input, in the JSON format and in
+``dart_to_int``/``int_to_dart``; faces are int-dart cycles of
+``PlaneEmbedding.planarization``.  ``restrict`` and
+``decider._merge_witnesses`` build encoded darts for ``build_embedding``, and
+``surgery.reshorten`` converts its own with ``dart_to_int``.  There ``end`` 0
+points from the edge's smaller endpoint toward the larger one and 1 the
+reverse, and ``seg`` indexes the planarization segment along the edge (0 for
+uncrossed edges, in which case JSON omits it).
 """
 
 from __future__ import annotations
@@ -245,12 +248,6 @@ class PlaneEmbedding:
     # -- faces ----------------------------------------------------------------
 
     @cached_property
-    def faces(self) -> tuple[tuple[Dart, ...], ...]:
-        """Face cycles in encoded-dart form."""
-        return tuple(tuple(self.int_to_dart(d) for d in cyc)
-                     for cyc in self.planarization.faces)
-
-    @cached_property
     def outer_face(self) -> int:
         return self.planarization.face_of[self.outer]
 
@@ -334,7 +331,7 @@ def build_embedding(
         emb, rotation={v: tuple(_encoded_to_int(emb, d) for d in darts)
                        for v, darts in rotation.items()},
         outer=None if outer is None else _encoded_to_int(emb, outer))
-    validate_embedding(emb, k=k)
+    validate_embedding(emb)
     return emb
 
 
@@ -347,7 +344,7 @@ def _encoded_to_int(emb: PlaneEmbedding, dart: Sequence[int]) -> int:
     return -1
 
 
-def validate_embedding(emb: PlaneEmbedding, k: int = 1) -> None:
+def validate_embedding(emb: PlaneEmbedding) -> None:
     """Check rotation coverage, dummy alternation, genus 0, and the outer
     dart.  Raises EmbeddingError on the first violation."""
     g = emb.graph
@@ -527,7 +524,8 @@ def _dart_from_json(raw) -> Dart:
     return (e, end, seg[0] if seg else 0)
 
 
-def embedding_to_json(emb: PlaneEmbedding) -> str:
+def _embedding_dict(emb: PlaneEmbedding) -> dict:
+    """The JSON object of ``embedding_to_json``, before encoding."""
     obj = {
         "vertices": sorted(emb.graph.vertices),
         "edges": [list(emb.graph.edges[e]) for e in sorted(emb.graph.edges)],
@@ -541,7 +539,12 @@ def embedding_to_json(emb: PlaneEmbedding) -> str:
             str(e): list(order) for e, order in sorted(emb.edge_order.items())
             if len(order) > 1
         }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return obj
+
+
+def embedding_to_json(emb: PlaneEmbedding) -> str:
+    return json.dumps(_embedding_dict(emb), sort_keys=True,
+                      separators=(",", ":"))
 
 
 def embedding_from_json(text: str, k: int = 1) -> PlaneEmbedding:

@@ -21,10 +21,20 @@ from .graph import GraphError
 
 @dataclass(frozen=True)
 class BWConfiguration:
+    """A potential B/W configuration; whether it is one depends on the
+    outer face (``is_configuration``)."""
+
     kind: str  # "B" or "W"
     anchors: tuple[int, int]
     crossings: tuple[int, ...]  # crossing indices into emb.crossings
-    bounded_faces: frozenset[int]
+    side_of_face: tuple[int, ...]  # face -> its side of the closed curve
+    far_side: Optional[int]  # side holding all far endpoints, if uniform
+
+    def is_configuration(self, outer_face: int) -> bool:
+        """True when the far endpoints all lie on the bounded side, i.e. this
+        is a B/W configuration for this outer face."""
+        return (self.far_side is not None
+                and self.far_side != self.side_of_face[outer_face])
 
     def to_dict(self) -> dict:
         return {
@@ -54,21 +64,6 @@ class LMRWord:
         return out
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    kind: str
-    anchors: tuple[int, int]
-    crossings: tuple[int, ...]
-    side_of_face: tuple[int, ...]
-    far_side: Optional[int]  # side holding all far endpoints, if uniform
-
-    def is_configuration(self, outer_face: int) -> bool:
-        """True when the far endpoints all lie on the bounded side, i.e. the
-        candidate is a B/W configuration for this outer face."""
-        return (self.far_side is not None
-                and self.far_side != self.side_of_face[outer_face])
-
-
 def _require_one_planar(emb: PlaneEmbedding) -> None:
     for e in emb.graph.edges:
         if emb.crossings_of_edge(e) > 1:
@@ -84,22 +79,22 @@ def _vertex_side(emb: PlaneEmbedding, color: list[int], v: int) -> int:
 
 def _make_candidate(emb: PlaneEmbedding, kind: str, anchors, crossings,
                     cycle_segments: set[int], fars: Iterable[int]
-                    ) -> Optional[_Candidate]:
+                    ) -> Optional[BWConfiguration]:
     color = emb.planarization.side_partition(cycle_segments)
     if color is None:
         return None
     sides = {_vertex_side(emb, color, v) for v in fars}
     far = sides.pop() if len(sides) == 1 else None
-    return _Candidate(kind, tuple(anchors), tuple(crossings),
-                      tuple(color), far)
+    return BWConfiguration(kind, tuple(anchors), tuple(crossings),
+                           tuple(color), far)
 
 
-def candidate_configurations(emb: PlaneEmbedding) -> list[_Candidate]:
+def candidate_configurations(emb: PlaneEmbedding) -> list[BWConfiguration]:
     """All potential B/W configurations with their face-side data; which are
     actual configurations depends on the choice of outer face."""
     _require_one_planar(emb)
     g = emb.graph
-    out: list[_Candidate] = []
+    out: list[BWConfiguration] = []
 
     for i, c in enumerate(emb.crossings):
         e1, e2 = c.edges
@@ -140,29 +135,16 @@ def candidate_configurations(emb: PlaneEmbedding) -> list[_Candidate]:
     return out
 
 
-def configurations_for_outer(cands: list[_Candidate], outer_face: int
-                             ) -> list[BWConfiguration]:
-    found = []
-    for c in cands:
-        if c.is_configuration(outer_face):
-            bounded = frozenset(f for f, s in enumerate(c.side_of_face)
-                                if s == c.far_side)
-            found.append(BWConfiguration(c.kind, c.anchors, c.crossings,
-                                         bounded))
-    return found
-
-
 def find_bw_configurations(emb: PlaneEmbedding) -> list[BWConfiguration]:
     """Exhaustive list of B- and W-configurations relative to the embedding's
     outer face; empty iff the embedding is straightenable."""
-    return configurations_for_outer(candidate_configurations(emb),
-                                    emb.outer_face)
+    outer = emb.outer_face
+    return [c for c in candidate_configurations(emb)
+            if c.is_configuration(outer)]
 
 
 def is_straightenable(emb: PlaneEmbedding) -> bool:
-    outer = emb.outer_face
-    return not any(c.is_configuration(outer)
-                   for c in candidate_configurations(emb))
+    return not find_bw_configurations(emb)
 
 
 # ---------------------------------------------------------------------------

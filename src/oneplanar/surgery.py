@@ -27,8 +27,8 @@ from .embedding import (
     Arc,
     PlaneEmbedding,
     Planarization,
+    _embedding_dict,
     embedding_from_json,
-    embedding_to_json,
     unrotated_embedding,
     validate_embedding,
 )
@@ -70,7 +70,7 @@ def arc_system(host: PlaneEmbedding, static_edges: Iterable[int]) -> ArcSystem:
 def arc_system_to_json(sys_: ArcSystem) -> str:
     """Embedding JSON extended with "static" (edge ids) and "arcs"
     (edge-id walks)."""
-    base = json.loads(embedding_to_json(sys_.host))
+    base = _embedding_dict(sys_.host)
     base["static"] = sorted(sys_.static_edges)
     base["arcs"] = [list(a.edges) for a in sys_.arcs]
     return json.dumps(base, sort_keys=True, separators=(",", ":"))
@@ -243,46 +243,31 @@ class Arrangement:
         return self.passage_node[marker]
 
     def planarization(self) -> Planarization:
-        seg_index: dict[tuple, int] = {}
+        """Segments follow each curve's node path, curves in id order: the
+        dart leaving a path entry toward the curve's head is twice the index
+        of the segment the entry starts, and the one toward its tail is one
+        less."""
         segments = []
+        start: dict = {}  # path entry -> index of the segment it starts
         for cid in sorted(self.curves):
             path = self.node_path(cid)
             for a, b in zip(path, path[1:]):
-                seg_index[(a, b)] = len(segments)
+                start[a] = len(segments)
                 segments.append((self._marker_node(a), self._marker_node(b)))
+            start[path[-1]] = len(segments)
 
-        pos_cache = {cid: {p: i for i, p in enumerate(self.node_path(cid))}
-                     for cid in self.curves}
+        def leaving(marker, toward: int) -> int:
+            forward = 2 * start[marker]
+            return forward if toward == _END1 else forward - 1
 
-        def dart_for(marker_a, marker_b) -> int:
-            if (marker_a, marker_b) in seg_index:
-                return 2 * seg_index[(marker_a, marker_b)]
-            return 2 * seg_index[(marker_b, marker_a)] + 1
-
-        rotation: dict[int, list[int]] = {}
-        for node, rot in self.node_rot.items():
-            darts = []
-            for pid, toward in rot:
-                cid = self.passage_curve[pid]
-                path = self.node_path(cid)
-                i = pos_cache[cid][pid]
-                if toward == 0:
-                    darts.append(dart_for(pid, path[i - 1]))
-                else:
-                    darts.append(dart_for(pid, path[i + 1]))
-            rotation[node] = darts
+        rotation = {node: tuple(leaving(pid, toward) for pid, toward in rot)
+                    for node, rot in self.node_rot.items()}
         for v, stubs in self.real_rot.items():
-            darts = []
-            for cid, end in stubs:
-                path = self.node_path(cid)
-                if end == _END0:
-                    darts.append(dart_for(path[0], path[1]))
-                else:
-                    darts.append(dart_for(path[-1], path[-2]))
-            rotation[v] = darts
-
-        return Planarization(tuple(segments),
-                             {n: tuple(r) for n, r in rotation.items()})
+            # the stub at a curve's tail leaves toward its head, and the
+            # stub at its head toward its tail
+            rotation[v] = tuple(leaving(_emark(cid, end), 1 - end)
+                                for cid, end in stubs)
+        return Planarization(tuple(segments), rotation)
 
     def validate(self) -> None:
         plan = self.planarization()
@@ -609,7 +594,7 @@ def reshorten(simplified: SimplifiedSystem, target: int,
                        for v, darts in rotation.items()},
         outer=emb.dart_to_int(outer))
     try:
-        validate_embedding(emb, k=1)
+        validate_embedding(emb)
     except Exception as err:  # demand-tight targets can force end-edge clashes
         raise GraphError(
             f"target {target} leaves no room to keep crossings off the "

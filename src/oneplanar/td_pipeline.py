@@ -536,11 +536,9 @@ def _combine(g: Graph, partials: list[PipelineOutcome]) -> PipelineOutcome:
     log = [ev for p in partials for ev in p.log]
     if any(p.rejected for p in partials):
         return PipelineOutcome("rejected", False, g, calls, log)
+    kept = g.induced_subgraph(
+        frozenset(v for p in partials for v in p.graph.vertices))
     if any(p.result == "reduced" for p in partials):
-        keep = frozenset(v for p in partials for v in p.graph.vertices)
-        return PipelineOutcome("reduced", None, g.induced_subgraph(keep),
-                               calls, log)
-    answer = all(p.answer for p in partials)
-    keep = frozenset(v for p in partials for v in p.graph.vertices)
-    return PipelineOutcome("decided", answer, g.induced_subgraph(keep),
+        return PipelineOutcome("reduced", None, kept, calls, log)
+    return PipelineOutcome("decided", all(p.answer for p in partials), kept,
                            calls, log)

@@ -183,6 +183,6 @@ def decide_connected(g: Graph, pred: Predicate, cap: int,
             if want_witness:
                 witness = dataclasses.replace(
                     emb, outer=emb.planarization.faces[outer][0])
-                validate_embedding(witness, k=pred.k)
+                validate_embedding(witness)
             return (True, witness, count)
     return (False, None, count)

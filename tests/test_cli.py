@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ from oneplanar.surgery import (
 
 from conftest import complete_graph, theta_graph
 from test_embedding import k5_one_crossing
-from test_surgery import bowtie_c4
+from test_surgery import bowtie_c4, random_arc_system
 
 
 def write_graph(tmp_path: Path, name: str, g) -> str:
@@ -393,6 +394,23 @@ def test_simplify_output_passes_check_embedding(tmp_path, capsys):
     infile.write_text(json.dumps(ADJACENT_CROSSING_SYSTEM))
     out = str(tmp_path / "simplified.json")
     assert main(["simplify", "--in", str(infile), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["check-embedding", "--in", out]) == 0
+    assert capsys.readouterr().out.startswith("OK: ")
+
+
+# The default geometric target is max(2 chi, s + f - 1, 3) for the most
+# crossings chi on one arc, but reshorten's demand is 2 chi + 1 plus the end
+# margins, so this system fails with "target 4 below crossing demand 7 of
+# arc 1"; with --target 7 its output passes check-embedding.
+@pytest.mark.xfail(strict=True,
+                   reason="default geometric target below reshorten's demand")
+def test_simplify_geometric_default_target_meets_demand(tmp_path, capsys):
+    infile = tmp_path / "system.json"
+    infile.write_text(arc_system_to_json(random_arc_system(random.Random(0))))
+    out = str(tmp_path / "simplified.json")
+    assert main(["simplify", "--in", str(infile), "--out", out,
+                 "--geometric"]) == 0
     capsys.readouterr()
     assert main(["check-embedding", "--in", out]) == 0
     assert capsys.readouterr().out.startswith("OK: ")

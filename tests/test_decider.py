@@ -73,7 +73,7 @@ def test_enumerate_embeddings_single_edge():
     g = Graph.build([(0, 1)])
     embs = list(enumerate_embeddings(g, []))
     assert len(embs) == 1
-    assert len(embs[0].faces) == 1
+    assert len(embs[0].planarization.faces) == 1
 
 
 def test_enumerate_embeddings_needs_a_connected_drawing():

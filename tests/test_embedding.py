@@ -98,11 +98,11 @@ def c3_embedding():
 
 def test_k4_planar_four_faces():
     emb = k4_planar()
-    assert len(emb.faces) == 4
+    assert len(emb.planarization.faces) == 4
 
 
 def test_c3_two_faces():
-    assert len(c3_embedding().faces) == 2
+    assert len(c3_embedding().planarization.faces) == 2
 
 
 def test_k4_toroidal_rejected():
@@ -114,7 +114,7 @@ def test_k4_toroidal_rejected():
 
 def test_k5_one_crossing_valid_eight_faces():
     emb = k5_one_crossing()
-    assert len(emb.faces) == 8  # V'=6, E'=12 after planarization
+    assert len(emb.planarization.faces) == 8  # V'=6, E'=12 after planarization
 
 
 def test_k5_crossing_orientation_well_defined():
@@ -192,7 +192,7 @@ def test_shared_region_c4():
         3: [(1, 1, 0), (3, 1, 0)],
     }
     emb = build_embedding(g, [], rotation, outer=(0, 0, 0))
-    assert len(emb.faces) == 2
+    assert len(emb.planarization.faces) == 2
     # adjacent and opposite vertices lie on both faces
     found = emb.shared_region(0, 1)
     assert found is not None and found[1] is True
@@ -202,7 +202,7 @@ def test_shared_region_c4():
 
 def test_shared_region_wheel():
     emb = w5_planar()
-    assert len(emb.faces) == 6
+    assert len(emb.planarization.faces) == 6
     # hub and rim vertex share only bounded triangles when the rim is outer
     face, is_outer = emb.shared_region(0, 1)
     assert is_outer is False
@@ -219,7 +219,7 @@ def test_shared_region_wheel():
 def test_restrict_identity():
     emb = k5_one_crossing()
     same = restrict(emb, emb.graph.edges)
-    assert len(same.faces) == len(emb.faces)
+    assert len(same.planarization.faces) == len(emb.planarization.faces)
     assert same.graph.edges == emb.graph.edges
 
 
@@ -260,7 +260,7 @@ def test_json_round_trip_bit_exact():
 def test_json_preserves_structure():
     emb = k5_one_crossing()
     loaded = embedding_from_json(embedding_to_json(emb))
-    assert len(loaded.faces) == 8
+    assert len(loaded.planarization.faces) == 8
     assert loaded.outer_face == loaded.planarization.face_of[loaded.outer]
 
 

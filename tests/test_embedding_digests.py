@@ -363,7 +363,7 @@ def test_embedding_json_is_byte_identical(name):
 def test_decide_witness_validates(name):
     emb = CASES[name]()
     k = 2 if name.endswith("/k2") else 1
-    validate_embedding(emb, k=k)
+    validate_embedding(emb)
     assert embedding_to_json(embedding_from_json(embedding_to_json(emb),
                                                  k=k)) == embedding_to_json(emb)
 

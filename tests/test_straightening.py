@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
+from oneplanar.decider import enumerate_embeddings
 from oneplanar.embedding import build_embedding
 from oneplanar.graph import Graph, GraphError
 from oneplanar.straightening import (
     LMRWord,
+    candidate_configurations,
     find_bw_configurations,
     is_straightenable,
     lmr_word,
 )
 
+from conftest import complete_bipartite, complete_graph
 from test_embedding import k4_planar, k5_one_crossing
 
 
@@ -117,6 +124,44 @@ def test_crossing_free_embeddings_are_clean():
 
 def test_k5_straight_line_drawing_straightenable():
     assert is_straightenable(k5_one_crossing())
+
+
+# sha256 over every embedding that ``enumerate_embeddings`` yields for one
+# independent crossing pair, every pair in edge order: (number of
+# embeddings, number of configurations, configurations as
+# ``find_bw_configurations`` lists them, and per candidate the outer faces it
+# is a configuration for, as ``decider._accepted_outer`` reads them)
+BW_PINS = {
+    "K5": (120, 60,
+           "0a1d00247c0fa05f951054ca13d7aabad96f69c8ba076d44b3ede598a9131668",
+           "f841a6385e3de1d8a252d57274f93815f64a6dc43603ebcde649b569303ad723"),
+    "K3,3": (108, 36,
+             "4e7ad9b809e3ea75f129319664c104802b6e17f7a05cf998f3a9510b5b38354e",
+             "fbfd7fa7a323693cd742e32e90f227fad0c323464f1805c490206cf6cfdaea8e"),
+}
+
+
+def _one_pair_embeddings(g):
+    for e1, e2 in itertools.combinations(sorted(g.edges), 2):
+        if not set(g.edges[e1]) & set(g.edges[e2]):
+            yield from enumerate_embeddings(g, [(e1, e2)])
+
+
+@pytest.mark.parametrize("name", sorted(BW_PINS))
+def test_bw_lists_are_pinned(name):
+    g = {"K5": complete_graph(5), "K3,3": complete_bipartite(3, 3)}[name]
+    embs = list(_one_pair_embeddings(g))
+    found = [[c.to_dict() for c in find_bw_configurations(emb)]
+             for emb in embs]
+    accepted = [[[c.is_configuration(f)
+                  for f in range(len(emb.planarization.faces))]
+                 for c in candidate_configurations(emb)] for emb in embs]
+
+    def sha(obj) -> str:
+        return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+    assert (len(embs), sum(map(len, found)), sha(found),
+            sha(accepted)) == BW_PINS[name]
 
 
 # ---------------------------------------------------------------------------
