@@ -196,8 +196,9 @@ def _cmd_check_embedding(args) -> int:
     except (EmbeddingError, GraphError, KeyError, ValueError) as err:
         print(f"INVALID: {err}")
         return EXIT_FAIL
-    print(f"OK: {len(emb.planarization.faces)} faces, "
-          f"outer face {emb.outer_face}")
+    outer = ("no outer face" if emb.outer is None
+             else f"outer face {emb.outer_face}")
+    print(f"OK: {len(emb.planarization.faces)} faces, {outer}")
     if args.bw:
         configs = [c.to_dict() for c in find_bw_configurations(emb)]
         _write(args.bw, json.dumps(configs, sort_keys=True,

@@ -225,20 +225,17 @@ def enumerate_crossing_sets(g: Graph, k: int = 1, start: int = 0
         if not multi:
             yield {}
             return
+
+        def drawing_orders(e: int) -> list[tuple[int, ...]]:
+            """The orders along e that keep two crossings of one pair in
+            index order when e is the pair's lower edge."""
+            return [perm for perm in itertools.permutations(multi[e])
+                    if all(i < j for i, j in itertools.combinations(perm, 2)
+                           if chosen[i] == chosen[j] and min(chosen[i]) == e)]
+
         keys = sorted(multi)
-        for perms in itertools.product(
-                *(itertools.permutations(multi[e]) for e in keys)):
-            order = dict(zip(keys, map(tuple, perms)))
-            ok = True
-            for i, j in itertools.combinations(range(len(chosen)), 2):
-                if chosen[i] == chosen[j]:
-                    e = min(chosen[i])  # same unordered pair: fix index order
-                    seq = order.get(e, ())
-                    if seq and seq.index(i) > seq.index(j):
-                        ok = False
-                        break
-            if ok:
-                yield order
+        for perms in itertools.product(*map(drawing_orders, keys)):
+            yield dict(zip(keys, perms))
 
     def of_size(size: int) -> Iterator[tuple[tuple[int, int], ...]]:
         chosen: list[tuple[int, int]] = []

@@ -10,14 +10,13 @@ the dart's own face.
 Inside, a dart is an int ``2*segment + end`` of the planarization: the
 rotations and the outer dart of a ``PlaneEmbedding`` are stored that way.
 Encoded darts ``(edge, end, seg)`` appear only at the boundary: in
-``build_embedding``'s input, in the JSON format and in
-``dart_to_int``/``int_to_dart``; faces are int-dart cycles of
+``build_embedding``'s input (converted by ``_encoded_to_int``), in the JSON
+format and in ``int_to_dart``; faces are int-dart cycles of
 ``PlaneEmbedding.planarization``.  ``restrict`` and
-``decider._merge_witnesses`` build encoded darts for ``build_embedding``, and
-``surgery.reshorten`` converts its own with ``dart_to_int``.  There ``end`` 0
-points from the edge's smaller endpoint toward the larger one and 1 the
-reverse, and ``seg`` indexes the planarization segment along the edge (0 for
-uncrossed edges, in which case JSON omits it).
+``decider._merge_witnesses`` build encoded darts for ``build_embedding``.
+There ``end`` 0 points from the edge's smaller endpoint toward the larger
+one and 1 the reverse, and ``seg`` indexes the planarization segment along
+the edge (0 for uncrossed edges, in which case JSON omits it).
 """
 
 from __future__ import annotations
@@ -229,10 +228,6 @@ class PlaneEmbedding:
             raise GraphError(f"{v} is not an endpoint of edge {e}")
         return self._seg_table[(e, seg)]
 
-    def dart_to_int(self, dart: Dart) -> int:
-        e, end, seg = dart
-        return 2 * self._seg_table[(e, seg)] + end
-
     def int_to_dart(self, d: int) -> Dart:
         e, j = self._seg_info[d >> 1]
         return (e, d & 1, j)
@@ -338,9 +333,10 @@ def build_embedding(
 def _encoded_to_int(emb: PlaneEmbedding, dart: Sequence[int]) -> int:
     """The int of an encoded dart, or -1, which validation rejects, when the
     tuple names no dart of the planarization."""
-    if (len(dart) == 3 and dart[1] in (0, 1)
-            and (dart[0], dart[2]) in emb._seg_table):
-        return emb.dart_to_int(dart)
+    if len(dart) == 3 and dart[1] in (0, 1):
+        s = emb._seg_table.get((dart[0], dart[2]))
+        if s is not None:
+            return 2 * s + dart[1]
     return -1
 
 

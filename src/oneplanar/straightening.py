@@ -138,9 +138,8 @@ def candidate_configurations(emb: PlaneEmbedding) -> list[BWConfiguration]:
 def find_bw_configurations(emb: PlaneEmbedding) -> list[BWConfiguration]:
     """Exhaustive list of B- and W-configurations relative to the embedding's
     outer face; empty iff the embedding is straightenable."""
-    outer = emb.outer_face
     return [c for c in candidate_configurations(emb)
-            if c.is_configuration(outer)]
+            if c.is_configuration(emb.outer_face)]
 
 
 def is_straightenable(emb: PlaneEmbedding) -> bool:

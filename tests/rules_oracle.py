@@ -25,13 +25,16 @@
   vertices on every call and each edge pair with ``min`` and ``max``;
 * ``block_forest`` is the start of the old ``_block_forest``: a component
   search, then an induced subgraph and a ``block_cut_tree`` for every
-  component that is not the whole graph.
+  component that is not the whole graph;
+* ``crossing_sets`` is ``enumerate_crossing_sets`` as it was when it took
+  the whole product of per-edge drawing orders and scanned every pair of
+  crossings for each element.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from oneplanar import decider
 from oneplanar import td_pipeline as td
@@ -358,3 +361,78 @@ def block_forest(g: Graph) -> tuple[list[frozenset[int]], set[int]]:
             blocks.extend(bct.blocks)
             cuts |= bct.cut_vertices
     return blocks, cuts
+
+
+def crossing_sets(g: Graph, k: int = 1, start: int = 0
+                  ) -> Iterator[decider.CrossingAssignment]:
+    """All ways to pick pairwise-compatible crossing pairs with at least
+    ``start`` crossings, in order of increasing crossing count.  For k=1
+    these are the matchings on independent edge pairs; for k >= 2 multisets
+    with per-edge multiplicity <= k, each expanded with every drawing order
+    along multiply-crossed edges (canonicalized so that two crossings of the
+    same pair keep their index order along the lower edge).  The assignment
+    with no crossing comes before the edge pairs are listed."""
+    if start == 0:
+        yield decider.CrossingAssignment(())
+        start = 1
+    pairs = decider._independent_pairs(g)
+    capacity = {e: k for e in g.edges}
+
+    def chosen_orders(chosen: list[tuple[int, int]]) -> Iterator[dict]:
+        per_edge: dict[int, list[int]] = {}
+        for i, (e, f) in enumerate(chosen):
+            per_edge.setdefault(e, []).append(i)
+            per_edge.setdefault(f, []).append(i)
+        multi = {e: lst for e, lst in per_edge.items() if len(lst) > 1}
+        if not multi:
+            yield {}
+            return
+        keys = sorted(multi)
+        for perms in itertools.product(
+                *(itertools.permutations(multi[e]) for e in keys)):
+            order = dict(zip(keys, map(tuple, perms)))
+            ok = True
+            for i, j in itertools.combinations(range(len(chosen)), 2):
+                if chosen[i] == chosen[j]:
+                    e = min(chosen[i])  # same unordered pair: fix index order
+                    seq = order.get(e, ())
+                    if seq and seq.index(i) > seq.index(j):
+                        ok = False
+                        break
+            if ok:
+                yield order
+
+    def of_size(size: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        chosen: list[tuple[int, int]] = []
+
+        def rec(start: int, left: int) -> Iterator[tuple[tuple[int, int], ...]]:
+            if left == 0:
+                yield tuple(chosen)
+                return
+            for idx in range(start, len(pairs)):
+                e, f = pairs[idx]
+                if capacity[e] and capacity[f]:
+                    capacity[e] -= 1
+                    capacity[f] -= 1
+                    chosen.append(pairs[idx])
+                    # same pair may repeat (k >= 2): allow idx again
+                    yield from rec(idx if k > 1 else idx + 1, left - 1)
+                    chosen.pop()
+                    capacity[e] += 1
+                    capacity[f] += 1
+
+        yield from rec(0, size)
+
+    size = start
+    while True:
+        found = False
+        for chosen in of_size(size):
+            found = True
+            if k == 1:  # a matching crosses no edge twice: no orders
+                yield decider.CrossingAssignment(chosen)
+                continue
+            for order in chosen_orders(list(chosen)):
+                yield decider.CrossingAssignment(chosen, order)
+        if not found:
+            return
+        size += 1

@@ -1,14 +1,22 @@
-"""Reference implementations for the surgery tests: ``Arrangement.rule1``
-and ``Arrangement.rule2`` as they were before both rules recorded their
-strand reconnection through one splice.  Each reconnection is written out
-as hand-built ``merge`` blocks, and Rule II keeps a mirrored branch for a
-curve b that runs against a.  ``self`` is the arrangement to rewrite.
+"""Reference implementations for the surgery tests.
+
+``Arrangement.rule1`` and ``Arrangement.rule2`` as they were before both
+rules recorded their strand reconnection through one splice.  Each
+reconnection is written out as hand-built ``merge`` blocks, and Rule II
+keeps a mirrored branch for a curve b that runs against a.  ``self`` is the
+arrangement to rewrite.
+
+``from_system`` and ``_host_dart_key`` are ``Arrangement.from_system`` as it
+was before it read the host's segments in one walk per curve: it rebuilds
+each edge's direction, a (node, edge) passage table, and walks a curve's
+edges again to place the outer dart.
 """
 
 from __future__ import annotations
 
+from oneplanar.embedding import PlaneEmbedding
 from oneplanar.graph import GraphError
-from oneplanar.surgery import Arrangement
+from oneplanar.surgery import _END0, _END1, Arrangement, ArcSystem, _Curve
 
 
 def rule1(self: Arrangement, cid: int, i: int, j: int) -> None:
@@ -130,3 +138,96 @@ def rule2(self: Arrangement, cid_a: int, cid_b: int, ia1: int,
     self._drop_node(pa1, pb1)
     self._drop_node(pa2, pb2)
     self._apply_transform(transform)
+
+
+def from_system(sys: ArcSystem) -> "Arrangement":
+    arr = Arrangement()
+    host = sys.host
+    g = host.graph
+
+    curve_edges: dict[int, list[int]] = {}
+    curve_of_edge: dict[int, int] = {}
+    edge_dir: dict[int, bool] = {}  # curve traverses low -> high
+    cid = 0
+    for e in sorted(sys.static_edges):
+        u, v = g.edges[e]
+        arr.curves[cid] = _Curve("static", e, u, v, False, [])
+        curve_edges[cid] = [e]
+        curve_of_edge[e] = cid
+        edge_dir[e] = True
+        cid += 1
+    for ai, arc in enumerate(sys.arcs):
+        walk = arc.walk
+        closed = walk[0] == walk[-1]
+        arr.curves[cid] = _Curve("arc", ai, walk[0], walk[-1], closed, [])
+        curve_edges[cid] = list(arc.edges)
+        for e, at in zip(arc.edges, walk):
+            curve_of_edge[e] = cid
+            edge_dir[e] = at == min(g.edges[e])
+        cid += 1
+
+    strand_pid: dict[tuple[int, int], int] = {}  # (node, edge) -> pid
+
+    def edge_nodes(e: int) -> list[int]:
+        nodes = [host.crossings[i].dummy
+                 for i in host.edge_order.get(e, ())]
+        return nodes if edge_dir[e] else nodes[::-1]
+
+    for c in sorted(arr.curves):
+        for e in curve_edges[c]:
+            for node in edge_nodes(e):
+                pid = arr._next_pid
+                arr._next_pid += 1
+                arr.curves[c].seq.append(pid)
+                arr.passage_curve[pid] = c
+                arr.passage_node[pid] = node
+                strand_pid[(node, e)] = pid
+
+    for cp in host.crossings:
+        node = cp.dummy
+        rot = []
+        for e, end, _ in map(host.int_to_dart, host.rotation[node]):
+            pid = strand_pid[(node, e)]
+            toward_end = (end == 0) == edge_dir[e]
+            rot.append((pid, 1 if toward_end else 0))
+        arr.node_rot[node] = rot
+
+    smoothed: set[int] = set()
+    for arc in sys.arcs:
+        smoothed.update(arc.walk[1:-1])
+    for v in sorted(g.vertices):
+        if v in smoothed:
+            continue
+        stubs = []
+        for e in map(host.edge_of, host.rotation[v]):
+            c = curve_of_edge[e]
+            curve = arr.curves[c]
+            if curve.closed:
+                stubs.append((c, _END0 if e == curve_edges[c][0] else _END1))
+            elif v == curve.tail and e == curve_edges[c][0]:
+                stubs.append((c, _END0))
+            else:
+                stubs.append((c, _END1))
+        arr.real_rot[v] = stubs
+
+    arr.outer_key = _host_dart_key(arr, host, curve_edges, curve_of_edge,
+                                   edge_dir, host.outer)
+    return arr
+
+
+def _host_dart_key(self: Arrangement, host: PlaneEmbedding, curve_edges,
+                   curve_of_edge, edge_dir, dart) -> tuple:
+    e, end, seg = host.int_to_dart(dart)
+    c = curve_of_edge[e]
+    path = self.node_path(c)
+    passages_before = 0
+    for prev in curve_edges[c]:
+        if prev == e:
+            break
+        passages_before += len(host.edge_order.get(prev, ()))
+    t = len(host.edge_order.get(e, ()))
+    travel_seg = seg if edge_dir[e] else t - seg
+    pos = passages_before + travel_seg
+    a, b = path[pos], path[pos + 1]
+    forward = (end == 0) == edge_dir[e]
+    return (a, b) if forward else (b, a)

@@ -98,7 +98,7 @@ def workdir(tmp_path_factory):
     return d
 
 
-def run_on(workdir, kind: str, text: str | bytes) -> None:
+def run_on(workdir, kind: str, text: str | bytes) -> tuple[int, str, str]:
     (workdir / "fuzz").write_bytes(
         text if isinstance(text, bytes) else text.encode())
     argv = [str(workdir / a[1:]) if a.startswith("@") else a
@@ -115,6 +115,7 @@ def run_on(workdir, kind: str, text: str | bytes) -> None:
             assert len(lines) == 1 and lines[0].startswith("INVALID: ")
         else:
             assert len(lines) == 1 and lines[0].startswith("ERROR: ")
+    return code, out.getvalue(), err.getvalue()
 
 
 def fuzz(workdir, kind: str, texts) -> None:
@@ -135,3 +136,19 @@ def test_pair_files_never_crash(workdir, kind):
 @pytest.mark.parametrize("kind", sorted(VALID))
 def test_json_files_never_crash(workdir, kind):
     fuzz(workdir, kind, mutated(VALID[kind]) | TEXT)
+
+
+def test_empty_documents(workdir):
+    """The empty embedding is valid, has no outer face and no B/W
+    configuration; an arc system needs a host with an edge."""
+    empty = {"vertices": [], "edges": [], "crossings": [], "rotation": {},
+             "outer": None}
+    code, out, _ = run_on(workdir, "embedding", json.dumps(empty))
+    assert (code, out) == (0, "OK: 0 faces, no outer face\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check-embedding", "--in", str(workdir / "fuzz"),
+                     "--bw", str(workdir / "bw")]) == 0
+    assert (workdir / "bw").read_text() == "[]\n"
+    code, _, _ = run_on(workdir, "arc-system",
+                        json.dumps({**empty, "static": []}))
+    assert code == 1

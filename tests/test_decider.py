@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -57,6 +58,26 @@ def test_crossing_sets_k2_multiplicity():
     sizes = [len(s.pairs) for s in enumerate_crossing_sets(g, k=2)]
     # with k=2 the two edges may cross twice, in two distinct traversal orders
     assert sizes == [0, 1, 2, 2]
+
+
+def test_crossing_orders_match_the_whole_product():
+    """Filtering each edge's drawing orders before taking their product
+    yields the assignments of the old product-then-scan, in the same order:
+    the first 20 000 for k = 2 and 3 on K4, K5, K3,3 and 20 seeded graphs."""
+    graphs = [complete_graph(4), complete_graph(5), complete_bipartite(3, 3)]
+    for seed in range(20):
+        rng = random.Random(seed)
+        graphs.append(random_connected_graph(rng, rng.randint(5, 7),
+                                             rng.randint(1, 5)))
+    repeated = 0
+    for g in graphs:
+        for k in (2, 3):
+            got = list(itertools.islice(enumerate_crossing_sets(g, k=k),
+                                        20_000))
+            assert got == list(itertools.islice(oracle.crossing_sets(g, k=k),
+                                                20_000))
+            repeated += sum(len(set(a.pairs)) < len(a.pairs) for a in got)
+    assert repeated
 
 
 # ---------------------------------------------------------------------------

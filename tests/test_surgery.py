@@ -223,10 +223,12 @@ def test_rule2_swaps_nonempty_subarcs(antiparallel):
 
 
 def arrangement_state(arr: Arrangement) -> tuple:
-    return ({c: (list(cu.seq), cu.tail, cu.head)
-             for c, cu in arr.curves.items()},
-            dict(arr.passage_curve), dict(arr.passage_node),
-            {n: list(r) for n, r in arr.node_rot.items()}, arr.outer_key)
+    """The whole arrangement, with each map's insertion order."""
+    return ([(c, (cu.kind, cu.ref, cu.tail, cu.head, cu.closed, list(cu.seq)))
+             for c, cu in arr.curves.items()],
+            list(arr.passage_curve.items()), list(arr.passage_node.items()),
+            [(n, list(r)) for n, r in arr.node_rot.items()],
+            list(arr.real_rot.items()), arr.outer_key, arr._next_pid)
 
 
 def steps_match_oracle(sys: ArcSystem) -> tuple[int, int]:
@@ -272,6 +274,23 @@ def test_rules_match_oracle_hand_built():
         assert steps_match_oracle(sys) == (0, 1)
     for sys in loop_hosts():
         assert steps_match_oracle(sys) == (1, 0)
+
+
+def test_from_system_matches_oracle():
+    """The one-walk ``from_system`` against the reference that rebuilds
+    edge directions and a passage table: random, straightenable random,
+    pool and hand-built systems."""
+    systems = [random_arc_system(random.Random(seed)) for seed in range(300)]
+    systems += [random_arc_system(random.Random(seed), want_straight=True)
+                for seed in range(100)]
+    records = json.loads(POOL.read_text())["arcs"]
+    systems += [arc_system_from_json(rec["system"]) for rec in records]
+    systems += subarc_swap_hosts(False) + subarc_swap_hosts(True)
+    systems += loop_hosts()
+    assert len(systems) == 514
+    for sys in systems:
+        assert arrangement_state(Arrangement.from_system(sys)) == (
+            arrangement_state(surgery_oracle.from_system(sys)))
 
 
 def test_rule1_reverses_nonempty_loop():
