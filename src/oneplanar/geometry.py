@@ -143,15 +143,15 @@ class DrawingReport:
     violations: list[str]
 
 
-def validate_geometric_1planar(coords: Mapping[int, Point], g: Graph,
-                               max_crossings_per_edge: int = 1) -> DrawingReport:
+def validate_geometric_1planar(coords: Mapping[int, Point], g: Graph
+                               ) -> DrawingReport:
     """Exact check that the straight-line drawing is a proper drawing with
-    every edge crossed at most ``max_crossings_per_edge`` times.
+    every edge crossed at most once.
 
     Checks: distinct vertex points; no vertex interior to a non-incident
     edge; adjacent edges meet only at the shared endpoint; non-adjacent
     edges cross transversally in at most one interior point; crossing
-    points pairwise distinct; per-edge crossing counts within bound.
+    points pairwise distinct; no edge crossed twice.
     Only vertices and edge pairs whose rank boxes meet are tested exactly.
     """
     violations: list[str] = []
@@ -239,7 +239,7 @@ def validate_geometric_1planar(coords: Mapping[int, Point], g: Graph,
     if len(points) != len(crossings):
         violations.append("two crossings coincide in one point")
     for e, c in per_edge.items():
-        if c > max_crossings_per_edge:
+        if c > 1:
             violations.append(f"edge {e} crossed {c} times")
 
     return DrawingReport(not violations, crossings, violations)

@@ -38,6 +38,8 @@ from .graph import (
 )
 
 VARIANTS = ("1planar", "geo1planar", "kplanar", "geo-kplanar")
+# the most decimal digits of a size: Python's default int-to-str limit
+_MAX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -156,6 +158,7 @@ def worst_case_size(ell: int, variant: str) -> int:
         raise GraphError("worst-case sizes need ell >= 2 (so p >= 3)")
     p = 3 * ell - 3
     s = p - 2
+    limit = 10 ** _MAX_DIGITS
     for _ in range(2, p + 1):
         if variant in ("1planar", "kplanar"):
             s = 2 * s + p - 2
@@ -163,6 +166,8 @@ def worst_case_size(ell: int, variant: str) -> int:
             s = 3 * s + 2 * p - 3
         else:
             s = s + (s * s + 3 * s + 1) * (p + 1)
+        if s >= limit:
+            raise GraphError(f"worst-case size over {_MAX_DIGITS} digits")
     return s
 
 
@@ -187,7 +192,10 @@ def triangulation_bound(m: int) -> int:
     planarization of m pairwise once-crossing segments in a triangle."""
     if m < 0:
         raise GraphError("m must be non-negative")
-    return m * m + 3 * m + 1
+    value = m * m + 3 * m + 1
+    if value >= 10 ** _MAX_DIGITS:
+        raise GraphError(f"triangulation bound over {_MAX_DIGITS} digits")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,16 @@ exercised at all on instances small enough for the brute-force oracle.
 tree, whose subtrees are connected, before the graph is split into
 components; each tree then spans one component.  Phase I visits only the
 internal nodes of the decomposition, deepest first: neither Rule I nor Rule
-II fires at a node without children.  Phase II visits the cut
-vertices of the block forest Phase I leaves once each, deepest first, then
-by label, and reads every branch from that one forest: Rule III at v
-deletes only blocks below v, whose cut vertices come earlier, and no other
-cut vertex changes its depth or cut status, so a branch of that forest
-less the deleted vertices is the branch a fresh forest would give.
+II fires at a node without children.  Phase II is one bottom-up pass over
+the cut vertices of the block forest Phase I leaves, deepest first, then by
+label; it keeps below[c], c plus what survives of its child branches.  The
+branch of v through its child block bi is blocks[bi] and below[c] for the
+other cut vertices c of bi, less v; each such c came first.  Rule III at v
+deletes only branches below v, so no other cut vertex changes its depth or
+cut status, and a deleted branch below c holds neither c nor a vertex of
+bi: this is the branch a fresh forest would give.  The graph is cut down
+once, at the end or before a reject: a branch holds no deleted vertex, and
+its test graph drops the edges that leave it and its rim.
 
 Structure is derived once per mutation, not once per query.  `TDContext`
 caches it keyed on the identity of ``ctx.graph`` and ``ctx.decomposition``;
@@ -33,7 +37,7 @@ invalidates the cache.  Two things are cached:
   a and b lie in a common block?" for the Rule II pairs of Phase I and
   `rules_apply_below` that are not joined by an edge (an edge lies in a
   block, so adjacent a and b share one without a forest), and gives
-  Phase II its cut vertices and branches;
+  Phase II its cut vertices and blocks;
 * the attachment set of every decomposition node, bottom-up:
   att(c) = (N(c) | union of att(children)) - desc(c), which on a valid
   decomposition is ((N(c) & anc(c)) | union of att(children)) - {c};
@@ -42,14 +46,12 @@ invalidates the cache.  Two things are cached:
 Each rule test is written once.  `_rule1_group` is the Rule I test,
 `_rule2_groups` the Rule II baseline and `_rule2_pairs` adds the block
 test; Phase I and `rules_apply_below` both read them.  `_filter_children`
-is the test, delete and reject loop of Rules II and III.
+is the test and reject loop of Rules II and III; its caller deletes.
 
-Rules II and III delete the yes children of one call as one batch.  The
-children of one decomposition node, and the branches below one cut vertex,
-are disjoint and joined by no edge, so deleting one changes neither the
-test graph nor the attachment set of another: the oracle sees the same
-graphs in the same order, and the log gets the same events in the same
-order as with one deletion at a time.
+Rule II deletes the yes children of one call as one batch: the children of
+one decomposition node are disjoint and joined by no edge, so deleting one
+changes neither the test graph nor the attachment set of another, and the
+oracle and the log see what one deletion at a time gives.
 """
 
 from __future__ import annotations
@@ -304,9 +306,12 @@ def apply_rule2(ctx: TDContext, v: int, a: int, b: int) -> str:
     overflow = sorted(children)[ctx.thresholds.rule2_baseline_at(ctx.d):]
     tested = (({"child": c}, ctx.decomposition.descendants(c))
               for c in overflow)
-    return _filter_children(ctx, "II", {"node": v, "pair": [a, b]},
-                            Predicate("ab-outer", a=a, b=b, geometric=True),
-                            (a, b), tested, ctx.thresholds.rule2_reject_at)
+    reject, drop = _filter_children(
+        ctx, "II", {"node": v, "pair": [a, b]},
+        Predicate("ab-outer", a=a, b=b, geometric=True), (a, b), tested,
+        ctx.thresholds.rule2_reject_at)
+    _delete(ctx, drop)
+    return "rejected" if reject else "mutated" if drop else "noop"
 
 
 def rules_apply_below(ctx: TDContext, v: int) -> bool:
@@ -320,12 +325,12 @@ def rules_apply_below(ctx: TDContext, v: int) -> bool:
 
 def _filter_children(ctx: TDContext, rule: str, where: dict, pred: Predicate,
                      rim: tuple[int, ...], children: Iterable,
-                     reject_at: Callable[[int], int]) -> str:
+                     reject_at: Callable[[int], int]) -> tuple[bool, set[int]]:
     """The child filter of Rules II and III: oracle-test each child, a (log
-    tag, vertices) pair, on its subgraph with the ``rim``; delete the yes
-    children as one batch; reject when the rest, those over the oracle cap
-    included, number at least ``reject_at`` of their largest edge count.
-    ``where`` goes into the delete and reject events."""
+    tag, vertices) pair, on its subgraph with the ``rim``.  Returns whether
+    the no children, those over the oracle cap included, number at least
+    ``reject_at`` of their largest edge count (a reject), and the yes
+    children's vertices.  ``where`` goes into the delete and reject events."""
     surviving = []
     drop: set[int] = set()
     for tag, inner in children:
@@ -344,7 +349,6 @@ def _filter_children(ctx: TDContext, rule: str, where: dict, pred: Predicate,
                             "oracle": True})
         else:
             surviving.append(child.m)
-    _delete(ctx, drop)
     if surviving:
         m = max(surviving)
         limit = reject_at(m)
@@ -352,8 +356,8 @@ def _filter_children(ctx: TDContext, rule: str, where: dict, pred: Predicate,
             ctx.log.append({"rule": rule, "action": "reject", **where,
                             "survivors": len(surviving), "m": m,
                             "threshold": limit})
-            return "rejected"
-    return "mutated" if drop else "noop"
+            return True, drop
+    return False, drop
 
 
 # ---------------------------------------------------------------------------
@@ -419,38 +423,21 @@ def _block_forest(g: Graph) -> _BlockForest:
                         cuts_in, depth, child_blocks)
 
 
-def _branch(forest: _BlockForest, v: int, block: int) -> frozenset[int]:
-    """Vertices of the union of blocks hanging below cut vertex v through
-    the given incident block (v included): blocks reachable from it in the
-    block-cut tree without passing back through v."""
-    in_tree = {block}
-    frontier = [block]
-    while frontier:
-        bi = frontier.pop()
-        for c in forest.cuts_in[bi]:
-            if c == v:
-                continue
-            for bj in forest.blocks_at[c]:
-                if bj not in in_tree:
-                    in_tree.add(bj)
-                    frontier.append(bj)
-    return frozenset(x for bi in in_tree for x in forest.blocks[bi])
-
-
-def apply_rule3(ctx: TDContext, forest: _BlockForest, v: int) -> str:
-    """At cut vertex v of ``forest``, oracle-test each child subgraph (union
-    of blocks below one incident block, less the vertices no longer in the
-    graph) for v-outer geometric 1-planarity; delete the yes children;
-    reject when too many no children survive."""
-    if v not in forest.child_blocks:
-        return "noop"
-    tested = (({"cut": v},
-               (_branch(forest, v, bi) & ctx.graph.vertices) - {v})
-              for bi in sorted(forest.child_blocks[v],
-                               key=lambda i: sorted(forest.blocks[i])))
-    return _filter_children(ctx, "III", {"cut": v},
-                            Predicate("a-outer", a=v, geometric=True), (v,),
-                            tested, ctx.thresholds.rule3_reject_at)
+def apply_rule3(ctx: TDContext, forest: _BlockForest,
+                below: dict[int, set[int]], v: int) -> tuple[bool, set[int]]:
+    """At cut vertex v of ``forest``, oracle-test each child branch for
+    v-outer geometric 1-planarity; return whether too many no children
+    survive and the vertices of the yes children, and set ``below[v]``."""
+    branches = [set(forest.blocks[bi]).union(
+                    *(below[c] for c in forest.cuts_in[bi] if c != v)) - {v}
+                for bi in sorted(forest.child_blocks[v],
+                                 key=lambda i: sorted(forest.blocks[i]))]
+    reject, drop = _filter_children(
+        ctx, "III", {"cut": v}, Predicate("a-outer", a=v, geometric=True),
+        (v,), (({"cut": v}, b) for b in branches),
+        ctx.thresholds.rule3_reject_at)
+    below[v] = {v}.union(*branches) - drop
+    return reject, drop
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +497,17 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
             if apply_rule2(ctx, v, a, b) == "rejected":
                 return _outcome(ctx, "rejected", False)
 
-    # Phase II: Rule III bottom-up over the block-cut trees, in one order
+    # Phase II: Rule III in one pass over the block forest, one deletion
     forest = ctx.blocks()
-    depth = forest.depth
-    for v in sorted(depth, key=lambda c: (-depth[c], c)):
-        if apply_rule3(ctx, forest, v) == "rejected":
+    below: dict[int, set[int]] = {}
+    drop: set[int] = set()
+    for v in sorted(forest.depth, key=lambda c: (-forest.depth[c], c)):
+        reject, gone = apply_rule3(ctx, forest, below, v)
+        drop |= gone
+        if reject:
+            _delete(ctx, drop)
             return _outcome(ctx, "rejected", False)
+    _delete(ctx, drop)
 
     # final decision on the reduced instance
     try:

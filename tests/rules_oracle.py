@@ -17,6 +17,11 @@
   The fixpoint rebuilds its decomposition after every move, and its split
   re-parents every vertex of a component whose parent lies outside it,
   which can make two adjacent vertices siblings;
+* ``branch`` and ``apply_rule3`` are Rule III as it was before Phase II
+  became one pass: each branch walked again from the block forest, less
+  the vertices no longer in the graph, and the yes children deleted at each
+  cut vertex.  ``pipeline_one_forest`` is the pipeline that ran them, with
+  the elimination tree and one fixed Phase II order over one forest;
 * ``canonical_key`` is the memo key that came before the breadth-first
   relabeling: colour refinement, then the least edge list over the
   orderings within colour classes, or the labeled graph when there are more
@@ -273,7 +278,110 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
             break
         v = max(todo, key=lambda c: (depth[c], -c))
         processed.add(v)
-        if td.apply_rule3(ctx, ctx.blocks(), v) == "rejected":
+        if apply_rule3(ctx, ctx.blocks(), v) == "rejected":
+            return td._outcome(ctx, "rejected", False)
+
+    # final decision on the reduced instance
+    try:
+        answer = ctx.ask(ctx.graph, Predicate("plain", geometric=True))
+    except CapExceeded:
+        return td._outcome(ctx, "reduced", None)
+    return td._outcome(ctx, "decided", answer)
+
+
+def branch(forest, v: int, block: int) -> frozenset[int]:
+    """Vertices of the union of blocks hanging below cut vertex v through
+    the given incident block (v included): blocks reachable from it in the
+    block-cut tree without passing back through v."""
+    in_tree = {block}
+    frontier = [block]
+    while frontier:
+        bi = frontier.pop()
+        for c in forest.cuts_in[bi]:
+            if c == v:
+                continue
+            for bj in forest.blocks_at[c]:
+                if bj not in in_tree:
+                    in_tree.add(bj)
+                    frontier.append(bj)
+    return frozenset(x for bi in in_tree for x in forest.blocks[bi])
+
+
+def apply_rule3(ctx, forest, v: int) -> str:
+    """At cut vertex v of ``forest``, oracle-test each child subgraph (union
+    of blocks below one incident block, less the vertices no longer in the
+    graph) for v-outer geometric 1-planarity; delete the yes children;
+    reject when too many no children survive."""
+    if v not in forest.child_blocks:
+        return "noop"
+    tested = (({"cut": v},
+               (branch(forest, v, bi) & ctx.graph.vertices) - {v})
+              for bi in sorted(forest.child_blocks[v],
+                               key=lambda i: sorted(forest.blocks[i])))
+    reject, drop = td._filter_children(
+        ctx, "III", {"cut": v}, Predicate("a-outer", a=v, geometric=True),
+        (v,), tested, ctx.thresholds.rule3_reject_at)
+    td._delete(ctx, drop)
+    return "rejected" if reject else "mutated" if drop else "noop"
+
+
+def pipeline_one_forest(
+        g: Graph, decomposition: Optional[TreedepthDecomposition] = None,
+        overrides: Optional[td.Thresholds] = None,
+        oracle: Optional[Callable] = None,
+        oracle_cap: int = decider.DEFAULT_EDGE_CAP) -> td.PipelineOutcome:
+    thresholds = overrides or td.Thresholds()
+    oracle = oracle or decider.decide
+    if decomposition is not None:
+        decomposition = td.normalize_decomposition(g, decomposition)
+
+    comps = g.components()
+    if len(comps) > 1:
+        partials = []
+        for comp in comps:
+            sub_dec = None
+            if decomposition is not None:
+                sub_dec = TreedepthDecomposition(
+                    {v: p for v, p in decomposition.parent.items()
+                     if v in comp})
+            partials.append(pipeline_one_forest(
+                g.induced_subgraph(comp), sub_dec, overrides, oracle,
+                oracle_cap))
+        return td._combine(g, partials)
+
+    if not g.vertices:
+        return td.PipelineOutcome("decided", True, g, 0, [])
+
+    if decomposition is None:
+        try:
+            decomposition = treedepth_decomposition(g)
+        except GraphError:
+            return td.PipelineOutcome("reduced", None, g, 0,
+                                      [{"action": "no-decomposition"}])
+        decomposition = td.normalize_decomposition(g, decomposition)
+
+    ctx = td.TDContext(g, decomposition, decomposition.depth, thresholds,
+                       oracle, oracle_cap)
+
+    # Phase I: Rules I and II bottom-up over the internal nodes of the
+    # decomposition; neither rule fires at a node without children
+    levels = ctx.decomposition.levels
+    children = ctx.decomposition.children
+    for v in sorted((u for u in levels if children[u]),
+                    key=lambda u: (-levels[u], u)):
+        if not ctx.decomposition.children.get(v):
+            continue  # removed, or left a leaf, by an earlier deletion
+        if td.apply_rule1(ctx, v) is not None:
+            return td._outcome(ctx, "rejected", False)
+        for a, b in td._rule2_pairs(ctx, v):
+            if td.apply_rule2(ctx, v, a, b) == "rejected":
+                return td._outcome(ctx, "rejected", False)
+
+    # Phase II: Rule III bottom-up over the block-cut trees, in one order
+    forest = ctx.blocks()
+    depth = forest.depth
+    for v in sorted(depth, key=lambda c: (-depth[c], c)):
+        if apply_rule3(ctx, forest, v) == "rejected":
             return td._outcome(ctx, "rejected", False)
 
     # final decision on the reduced instance

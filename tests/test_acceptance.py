@@ -13,7 +13,12 @@ import pytest
 from oneplanar.decider import Predicate, decide, enumerate_embeddings
 from oneplanar.embedding import validate_embedding
 from oneplanar.geometry import validate_geometric_1planar
-from oneplanar.graph import Graph, decompose_degree2_paths, feedback_edge_set
+from oneplanar.graph import (
+    Graph,
+    TreedepthDecomposition,
+    decompose_degree2_paths,
+    feedback_edge_set,
+)
 from oneplanar.kernel import convex_certificate, kernelize, worst_case_size
 from oneplanar.reductions import (
     BinPackInstance,
@@ -241,6 +246,42 @@ def test_criterion_7_td_pipeline_safety():
     report(7, "treedepth pipeline safety",
            f"{checked} graphs agree with the oracle, K(3,35) rejected at "
            f"Rule I, {time.time() - started:.1f}s")
+
+
+def pendant_k4_twin(core: int, missing=()) -> Graph:
+    """K_core on 0..core-1 less the edges ``missing``, with a pendant K4
+    block at each of the vertices 0-3."""
+    pairs = [e for e in itertools.combinations(range(core), 2)
+             if e not in missing]
+    for a in range(4):
+        top = core + 3 * a
+        pairs += itertools.combinations((a, top, top + 1, top + 2), 2)
+    return Graph.build(pairs)
+
+
+# name -> (graph, answer, Rule III deletions); K7 has 21 and K7 - e 20
+# edges, past the geometric bound 4n - 9 = 19, and K5 is geometric 1-planar
+NO_TWINS = {
+    "K7+4K4": (pendant_k4_twin(7), False, 4),
+    "K7-e+4K4": (pendant_k4_twin(7, [(0, 6)]), False, 4),
+    "K5+4K4": (pendant_k4_twin(5), True, 5),
+}
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("name", sorted(NO_TWINS))
+def test_pipeline_answers_no_twins(name, descending):
+    """Beside criterion 7, whose graphs all answer YES: Rule III deletes
+    the pendant K4 blocks and keeps a NO core, under chain decompositions
+    in increasing and in decreasing id order.  A pipeline that deletes a
+    child it should keep turns the NO answers into YES."""
+    g, answer, deletions = NO_TWINS[name]
+    order = sorted(g.vertices, reverse=descending)
+    dec = TreedepthDecomposition(
+        {v: (order[i - 1] if i else -1) for i, v in enumerate(order)})
+    out = run_pipeline(g, decomposition=dec)
+    assert (out.result, out.answer) == ("decided", answer)
+    assert [ev["rule"] for ev in out.deletions] == ["III"] * deletions
 
 
 def test_criterion_8_reduction_structure():

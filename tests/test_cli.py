@@ -470,6 +470,15 @@ MALFORMED = {
     # an explicit target is used as given, never replaced by the default
     "simplify-target-zero": (SIMPLIFY + ["0"], BOWTIE),
     "simplify-target-negative": (SIMPLIFY + ["-1"], BOWTIE),
+    # a size past 4300 digits, which str() refuses, and gkp stops at once
+    # instead of squaring numbers of millions of digits
+    "bounds-gkp-ell-5": (["bounds", "--variant", "gkp", "--ell", "5"], None),
+    "bounds-1p-ell-5000": (["bounds", "--variant", "1p", "--ell", "5000"],
+                           None),
+    "bounds-g1p-ell-3100": (["bounds", "--variant", "g1p", "--ell", "3100"],
+                            None),
+    "bounds-triangulation-3001-digits": (
+        ["bounds", "--triangulation", "9" * 3001], None),
 }
 
 

@@ -74,90 +74,90 @@ def test_segment_intersection_kinds(name):
 REPORT_CASES = {
     "valid-one-crossing": (
         {0: (0, 0), 1: (1, 0), 2: (1, 1), 3: (0, 1)},
-        Graph.build([(u, v) for u in range(4) for v in range(u + 1, 4)]), 1,
+        Graph.build([(u, v) for u in range(4) for v in range(u + 1, 4)]),
         DrawingReport(True, [(1, 4, P(Fraction(1, 2), Fraction(1, 2)))], [])),
     "coverage-missing": (
-        {0: (0, 0)}, Graph.build([(0, 1)]), 1,
+        {0: (0, 0)}, Graph.build([(0, 1)]),
         DrawingReport(False, [], ["coordinates do not cover V(g)"])),
     "coverage-extra": (
-        {0: (0, 0), 1: (1, 0), 2: (2, 2)}, Graph.build([(0, 1)]), 1,
+        {0: (0, 0), 1: (1, 0), 2: (2, 2)}, Graph.build([(0, 1)]),
         DrawingReport(False, [], ["coordinates do not cover V(g)"])),
     "coinciding-vertices": (
-        {0: (1, 1), 1: (1, 1)}, Graph.build([], vertices=[0, 1]), 1,
+        {0: (1, 1), 1: (1, 1)}, Graph.build([], vertices=[0, 1]),
         DrawingReport(False, [], ["vertices 0 and 1 coincide"])),
     "vertex-on-edge": (
         {0: (0, 0), 1: (2, 0), 2: (1, 0)},
-        Graph.build([(0, 1)], vertices=[2]), 1,
+        Graph.build([(0, 1)], vertices=[2]),
         DrawingReport(False, [], ["vertex 2 lies on edge 0"])),
     "adjacent-overlap": (
-        {0: (0, 0), 1: (2, 0), 2: (1, 0)}, Graph.build([(0, 1), (0, 2)]), 1,
+        {0: (0, 0), 1: (2, 0), 2: (1, 0)}, Graph.build([(0, 1), (0, 2)]),
         DrawingReport(False, [], [
             "vertex 2 lies on edge 0",
             "adjacent edges 0,1 overlap beyond their endpoint"])),
     "improper-touch": (
         {0: (0, 0), 1: (2, 0), 2: (1, 0), 3: (1, 1)},
-        Graph.build([(0, 1), (2, 3)]), 1,
+        Graph.build([(0, 1), (2, 3)]),
         DrawingReport(False, [], [
             "vertex 2 lies on edge 0", "edges 0,1 touch improperly"])),
     "coinciding-crossings": (
         {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1), 4: (-1, -1),
          5: (1, 1)},
-        Graph.build([(0, 1), (2, 3), (4, 5)]), 2,
+        Graph.build([(0, 1), (2, 3), (4, 5)]),
         DrawingReport(False, [(0, 1, P(0, 0)), (0, 2, P(0, 0)),
                               (1, 2, P(0, 0))],
-                      ["two crossings coincide in one point"])),
+                      ["two crossings coincide in one point",
+                       "edge 0 crossed 2 times", "edge 1 crossed 2 times",
+                       "edge 2 crossed 2 times"])),
     "coinciding-int-and-fraction": (
         {0: (1, 2), 1: (Fraction(3, 3), 2)}, Graph.build([], vertices=[0, 1]),
-        1, DrawingReport(False, [], ["vertices 0 and 1 coincide"])),
+        DrawingReport(False, [], ["vertices 0 and 1 coincide"])),
     # the meets of the three lines have homogeneous weights -2, 8 and 24
     "coinciding-crossings-rational": (
         {0: (0, 0), 1: (1, 1), 2: (0, 1), 3: (1, 0),
          4: (Fraction(1, 4), 0), 5: (Fraction(3, 4), 1)},
-        Graph.build([(0, 1), (2, 3), (4, 5)]), 2,
+        Graph.build([(0, 1), (2, 3), (4, 5)]),
         DrawingReport(False, [(0, 1, P(Fraction(1, 2), Fraction(1, 2))),
                               (0, 2, P(Fraction(1, 2), Fraction(1, 2))),
                               (1, 2, P(Fraction(1, 2), Fraction(1, 2)))],
-                      ["two crossings coincide in one point"])),
+                      ["two crossings coincide in one point",
+                       "edge 0 crossed 2 times", "edge 1 crossed 2 times",
+                       "edge 2 crossed 2 times"])),
     # x values 1 + 10^-30 and 1 round to one float; vertex 0 lies beyond
     # the edge's end
     "beyond-float-precision": (
         {0: (1 + Fraction(1, 10 ** 30), 0), 1: (0, 0), 2: (1, 0)},
-        Graph.build([(1, 2)], vertices=[0]), 1,
+        Graph.build([(1, 2)], vertices=[0]),
         DrawingReport(True, [], [])),
     # coordinates past the float range are ranked without floats
     "beyond-float-range": (
         {0: (0, 0), 1: (10 ** 400, 0), 2: (10 ** 400, 10 ** 400),
          3: (0, 10 ** 400)},
-        Graph.build([(u, v) for u in range(4) for v in range(u + 1, 4)]), 1,
+        Graph.build([(u, v) for u in range(4) for v in range(u + 1, 4)]),
         DrawingReport(True, [(1, 4, P(10 ** 400 // 2, 10 ** 400 // 2))], [])),
     "crossed-too-often": (
         {0: (0, 0), 1: (3, 0), 2: (1, -1), 3: (1, 1), 4: (2, -1), 5: (2, 1)},
-        Graph.build([(0, 1), (2, 3), (4, 5)]), 1,
+        Graph.build([(0, 1), (2, 3), (4, 5)]),
         DrawingReport(False, [(0, 1, P(1, 0)), (0, 2, P(2, 0))],
                       ["edge 0 crossed 2 times"])),
-    "crossed-twice-allowed": (
-        {0: (0, 0), 1: (3, 0), 2: (1, -1), 3: (1, 1), 4: (2, -1), 5: (2, 1)},
-        Graph.build([(0, 1), (2, 3), (4, 5)]), 2,
-        DrawingReport(True, [(0, 1, P(1, 0)), (0, 2, P(2, 0))], [])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_CASES))
 def test_drawing_report_cases(name):
-    coords, g, bound, want = REPORT_CASES[name]
-    assert validate_geometric_1planar(coords, g, bound) == want
-    assert assert_same_report(coords, g, bound) == want
+    coords, g, want = REPORT_CASES[name]
+    assert validate_geometric_1planar(coords, g) == want
+    assert assert_same_report(coords, g) == want
 
 
 # ---------------------------------------------------------------------------
 # differential test against the Fraction reference
 # ---------------------------------------------------------------------------
 
-def assert_same_report(coords, g, bound=1):
+def assert_same_report(coords, g):
     """Field by field, with exact crossing points of the same type, and the
     violations in the same order."""
-    got = validate_geometric_1planar(coords, g, bound)
-    want = oracle.validate_geometric_1planar(coords, g, bound)
+    got = validate_geometric_1planar(coords, g)
+    want = oracle.validate_geometric_1planar(coords, g)
     assert got.ok == want.ok
     assert got.violations == want.violations
     assert got.crossings == want.crossings
@@ -205,7 +205,7 @@ def test_random_grid_drawings_match_reference():
     for seed in range(600):
         rng = random.Random(seed)
         coords, g = random_drawing(rng)
-        report = assert_same_report(coords, g, rng.choice((0, 1, 1, 2)))
+        report = assert_same_report(coords, g)
         seen.update(violation_kind(v) for v in report.violations)
         if report.crossings:
             seen.add("crossing")
@@ -225,9 +225,9 @@ def certificate_drawings(count: int):
     seen = []
     real = kernel.validate_geometric_1planar
 
-    def record(coords, g, *rest):
+    def record(coords, g):
         seen.append((dict(coords), g))
-        return real(coords, g, *rest)
+        return real(coords, g)
 
     rng = random.Random(10)
     kernel.validate_geometric_1planar = record

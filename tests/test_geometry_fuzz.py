@@ -31,7 +31,7 @@ def drawings(draw):
     coords = {v: (draw(COORD), draw(COORD)) for v in range(n)}
     if draw(st.integers(0, 19)) == 0:
         del coords[draw(st.integers(0, n - 1))]
-    return coords, g, draw(st.integers(0, 2))
+    return coords, g
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -168,13 +168,15 @@ def test_rule_two_pair_order_is_immaterial():
 # ---------------------------------------------------------------------------
 
 def test_rule_three_deletes_outer_children():
-    # two triangles sharing vertex 2
+    # two triangles sharing vertex 2; the caller deletes the yes children
     g = Graph.build([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     from oneplanar.graph import treedepth_decomposition
     dec = treedepth_decomposition(g)
     ctx = TDContext(g, dec, dec.depth, Thresholds(), decide, 11)
-    assert apply_rule3(ctx, ctx.blocks(), 2) == "mutated"
-    assert ctx.graph.vertices == frozenset({2})
+    below = {}
+    assert apply_rule3(ctx, ctx.blocks(), below, 2) == (False, {0, 1, 3, 4})
+    assert below == {2: {2}} and ctx.graph is g
+    assert [ev["vertices"] for ev in ctx.log] == [[0, 1], [3, 4]]
 
 
 def test_rule_three_single_child_never_rejects():
@@ -183,7 +185,9 @@ def test_rule_three_single_child_never_rejects():
     from oneplanar.graph import treedepth_decomposition
     dec = treedepth_decomposition(g)
     ctx = TDContext(g, dec, dec.depth, Thresholds(), no_oracle, 11)
-    assert apply_rule3(ctx, ctx.blocks(), 2) != "rejected"
+    below = {}
+    assert apply_rule3(ctx, ctx.blocks(), below, 2) == (False, set())
+    assert below == {2: {0, 1, 2, 3, 4}}
 
 
 def test_rule_three_reject_branch_with_stub():
@@ -192,7 +196,8 @@ def test_rule_three_reject_branch_with_stub():
     dec = treedepth_decomposition(g)
     ctx = TDContext(g, dec, dec.depth, Thresholds(rule3_reject=2),
                     no_oracle, 11)
-    assert apply_rule3(ctx, ctx.blocks(), 2) == "rejected"
+    assert apply_rule3(ctx, ctx.blocks(), {}, 2) == (True, set())
+    assert ctx.log[-1]["action"] == "reject"
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +666,74 @@ def test_phase_two_reads_one_block_forest(monkeypatch):
                 want.graph.vertices)
 
 
+def test_phase_two_cuts_the_graph_down_once(monkeypatch):
+    """Rule III deletes a leaf branch at each of the path's 298 cut
+    vertices (two at the root), and Phase II deletes all 299 leaves in one
+    step."""
+    from oneplanar import td_pipeline
+    drops = []
+    real = td_pipeline._delete
+
+    def counting(ctx, drop):
+        if drop:
+            drops.append(len(drop))
+        real(ctx, drop)
+
+    monkeypatch.setattr(td_pipeline, "_delete", counting)
+    g, dec = chain(300)
+    out = run_pipeline(g, decomposition=dec)
+    assert out.result == "decided" and out.answer is True
+    assert drops == [len(out.deletions)] and len(out.deletions) > 100
+
+
+def random_block_tree(rng) -> Graph:
+    """One to seven seeded blocks glued at single vertices, each at a
+    random vertex of the blocks before it, on shuffled ids: edges, cycles,
+    K4, K4 - e, K5 and K2,3."""
+    shapes = [[(0, 1)], [(i, (i + 1) % 3) for i in range(3)],
+              [(i, (i + 1) % 5) for i in range(5)],
+              list(itertools.combinations(range(4), 2)),
+              list(itertools.combinations(range(4), 2))[1:],
+              list(itertools.combinations(range(5), 2)),
+              [(a, b) for a in range(2) for b in range(2, 5)]]
+    pairs, n = [], 1
+    for _ in range(rng.randint(1, 7)):
+        shape = rng.choice(shapes)
+        glue = rng.randrange(n)
+        size = 1 + max(max(e) for e in shape)
+        ids = [glue] + list(range(n, n + size - 1))
+        pairs += [(ids[a], ids[b]) for a, b in shape]
+        n += size - 1
+    label = rng.sample(range(3 * n), n)
+    return Graph.build([(label[a], label[b]) for a, b in pairs])
+
+
+def test_phase_two_matches_the_branch_walk(rng):
+    """The one-pass Phase II gives the result, answer, oracle calls, log
+    and graph of the branch walk over one forest with a deletion per cut
+    vertex, on seeded block trees under DFS trees and chains, and on the
+    rule test instances, with yes, no and mixed oracles."""
+    seen = set()
+    instances = itertools.chain(
+        ((g, rng.choice((dfs_decomposition, chain_decomposition))(rng, g),
+          Thresholds(rule2_baseline=rng.randint(0, 2),
+                     rule3_reject=rng.choice((None, 2, 3))))
+         for g in (random_block_tree(rng) for _ in range(600))),
+        rule_test_instances(rng, 150))
+    for g, dec, thresholds in instances:
+        for ask in (yes_oracle, no_oracle, hashed_oracle):
+            got = run_pipeline(g, dec, thresholds, ask)
+            want = oracle.pipeline_one_forest(g, dec, thresholds, ask)
+            assert (got.result, got.answer, got.oracle_calls, got.log,
+                    got.graph.vertices) == (
+                        want.result, want.answer, want.oracle_calls,
+                        want.log, want.graph.vertices)
+            seen.update((ev.get("rule"), ev["action"]) for ev in got.log)
+            seen.add(got.result)
+    assert seen >= {("III", "delete"), ("III", "reject"), ("II", "delete"),
+                    "rejected", "decided"}
+
+
 def test_chain_visits_only_pairs_rule_two_can_act_on(monkeypatch):
     from oneplanar import td_pipeline
     calls = []
@@ -686,6 +759,8 @@ LOG_DIGESTS = {
     "K3,34": "3d36a9e77c4d789bb682ff2f46465cfd50e8364930af88a953e0322766e9db2c",
     "K3,35": "341a0ee8b95312e6f92780bb8e3b739696743be133c4b3e30dc5941ed8fce5ef",
     "chain40": "23dfaf28efa38e5da7e05e0e6d1bf3c3d0b9ecb1a08646c5415bc3642c716043",
+    "chain1200": "c111589714a69bb81db48e028e7fe85807e8510500403da428cc0e8f9e041570",
+    "cycle1200": "05b258e95e78dc6e644733153fa9d430d4b2494731d3c5477c75a390ba89c0c0",
     "pool0": "0e9101f0fc923cefc68f4e2ede43cc223818c1dc4d7fc2c6a4018eccc06a16fc",
     "pool1": "25f7bd84dc055b2b3a14d7b5440dcd292737818ac7903233399aa26baf69d5fa",
     "pool2": "97c898d3069987ee4aa6264bdff51272b0652a53f420c4f6ad9e9ac4f42feac5",
@@ -718,6 +793,10 @@ def digest_case(name: str):
         return complete_bipartite(3, n), k3n_decomposition(n), None
     if name.startswith("chain"):
         return (*chain(int(name[5:])), None)
+    if name.startswith("cycle"):
+        n = int(name[5:])
+        return (Graph.build([(i, (i + 1) % n) for i in range(n)]),
+                chain(n)[1], None)
     # pool style: random connected graphs with 3-6 vertices, <= 9 edges
     rng = random.Random(int(name[4:]))
     g = random_connected_graph(rng, rng.randint(3, 6), rng.randint(0, 3))
