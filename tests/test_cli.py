@@ -33,6 +33,9 @@ def write_graph(tmp_path: Path, name: str, g) -> str:
     return str(path)
 
 
+JUNK = bytes(range(256)) * 256  # 64 KiB to write an output over
+
+
 def test_decide_k4_yes(tmp_path, capsys):
     infile = write_graph(tmp_path, "k4.edges", complete_graph(4))
     assert main(["decide", "--in", infile, "--geometric"]) == 0
@@ -327,6 +330,9 @@ def test_convex_cert_of_no_edges_is_an_empty_file(tmp_path):
     out = tmp_path / "coords.txt"
     assert main(["convex-cert", "--in", str(infile), "--out", str(out)]) == 0
     assert out.read_bytes() == b""
+    out.write_bytes(JUNK)  # and written over a longer file
+    assert main(["convex-cert", "--in", str(infile), "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
 
 
 def test_lift_bandwidth_of_an_empty_graph_writes_an_empty_file(tmp_path,
@@ -541,6 +547,129 @@ def test_unusable_path_exits_two_with_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("ERROR: ")
+
+
+# ---------------------------------------------------------------------------
+# Output files are written over in place and cut to length
+# ---------------------------------------------------------------------------
+
+# name -> argv; @name is an input file, @@name an output path under the
+# output directory, @@dir/ a --witnesses directory
+REWRITES = {
+    "decide": ["decide", "--in", "@k5", "--witness", "@@w.json",
+               "--report", "@@r.json"],
+    "td-run": ["td-run", "--in", "@theta", "--log", "@@log.json"],
+    "kernelize": ["kernelize", "--variant", "1p", "--in", "@theta",
+                  "--out", "@@kernel.edges", "--report", "@@r.json"],
+    "simplify": ["simplify", "--in", "@bowtie", "--out", "@@out.json",
+                 "--report", "@@r.json"],
+    "convex-cert": ["convex-cert", "--in", "@theta", "--out", "@@coords"],
+    "gen-binpack": ["gen-binpack", "--items", "3,1,2,2", "--bins", "2",
+                    "--capacity", "4", "--out", "@@inst.edges",
+                    "--witnesses", "@@dir/", "--report", "@@r.json"],
+    "gen-replace": ["gen-replace", "--graph", "@theta", "--gadget",
+                    "@gadget", "--out", "@@out.edges"],
+    "lift-bandwidth": ["lift-bandwidth", "--graph", "@theta", "--ordering",
+                       "@order", "--gadget", "@gadget", "--out", "@@order",
+                       "--graph-out", "@@lifted.edges"],
+    "check-embedding": ["check-embedding", "--in", "@emb", "--bw", "@@bw"],
+}
+
+
+def rewrite_inputs(tmp_path: Path) -> dict[str, str]:
+    theta = theta_graph((2, 2, 2))
+    texts = {
+        "k5": format_edge_list(complete_graph(5)),
+        "theta": format_edge_list(theta),
+        "bowtie": BOWTIE,
+        "gadget": GADGET,
+        "order": "".join(f"{v} {i + 1}\n"
+                         for i, v in enumerate(sorted(theta.vertices))),
+        "emb": embedding_to_json(k5_one_crossing()),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return {f"@{name}": str(tmp_path / name) for name in texts}
+
+
+def run_into(argv: list[str], inputs: dict[str, str], out: Path) -> dict:
+    """Run ``argv`` with its outputs under ``out``; return every output
+    file's bytes by name."""
+    args = [inputs.get(a) or (str(out / a[2:]) if a.startswith("@@") else a)
+            for a in argv]
+    assert main(args) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("case", sorted(REWRITES))
+def test_rewrite_over_a_longer_file_leaves_no_tail(tmp_path, capsys, case):
+    inputs = rewrite_inputs(tmp_path)
+    fresh, junk = tmp_path / "fresh", tmp_path / "junk"
+    fresh.mkdir()
+    junk.mkdir()
+    for a in REWRITES[case]:
+        if a == "@@dir/":
+            (junk / "dir").mkdir()
+            for name in ("fvs.txt", "path_decomposition.txt"):
+                (junk / "dir" / name).write_bytes(JUNK)
+        elif a.startswith("@@"):
+            (junk / a[2:]).write_bytes(JUNK)
+    want = run_into(REWRITES[case], inputs, fresh)
+    assert want and all(len(b) < len(JUNK) for b in want.values())
+    assert run_into(REWRITES[case], inputs, junk) == want
+
+
+def test_outputs_to_dev_null(tmp_path, capsys):
+    k5 = write_graph(tmp_path, "k5.edges", complete_graph(5))
+    theta = write_graph(tmp_path, "theta.edges", theta_graph((1, 10, 10)))
+    assert main(["decide", "--in", k5]) == 0
+    assert main(["kernelize", "--variant", "1p", "--in", theta,
+                 "--out", str(tmp_path / "kernel.edges")]) == 0
+    want = capsys.readouterr().out
+    assert main(["decide", "--in", k5, "--witness", os.devnull,
+                 "--report", os.devnull]) == 0
+    assert main(["kernelize", "--variant", "1p", "--in", theta,
+                 "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_output_to_a_pipe(tmp_path):
+    k4 = write_graph(tmp_path, "k4.edges", complete_graph(4))
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "oneplanar.cli", "kernelize", "--variant",
+         "kp", "--k", "2", "--in", k4, "--out", "/dev/stdout"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        timeout=120)
+    res = kernel.kernelize(complete_graph(4), "kplanar", k=2)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == format_edge_list(res.kernel)
+
+
+def test_new_output_file_mode_follows_umask(tmp_path):
+    infile = write_graph(tmp_path, "theta.edges", theta_graph((2, 2, 2)))
+    out = tmp_path / "coords.txt"
+    old = os.umask(0o022)
+    try:
+        assert main(["convex-cert", "--in", infile, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o644  # as Path.write_text gives
+
+
+def test_rewrite_keeps_the_file_its_inode_and_mode(tmp_path, capsys):
+    k5 = write_graph(tmp_path, "k5.edges", complete_graph(5))
+    fresh, report = tmp_path / "fresh.json", tmp_path / "r.json"
+    assert main(["decide", "--in", k5, "--report", str(fresh)]) == 0
+    report.write_bytes(JUNK)
+    report.chmod(0o600)
+    inode = report.stat().st_ino
+    assert main(["decide", "--in", k5, "--report", str(report)]) == 0
+    assert report.read_bytes() == fresh.read_bytes()
+    assert report.stat().st_ino == inode
+    assert report.stat().st_mode & 0o777 == 0o600
 
 
 # ---------------------------------------------------------------------------
