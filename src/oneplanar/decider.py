@@ -725,12 +725,12 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
     return Verdict(False, None, stats)
 
 
-def _merge_witnesses(parts: list[PlaneEmbedding], g: Graph,
+def _merge_witnesses(parts: list[Optional[PlaneEmbedding]], g: Graph,
                      k: int) -> Optional[PlaneEmbedding]:
     """Stitch per-component embeddings into one embedding of g (components
-    drawn side by side); outer dart taken from the first component."""
-    parts = [p for p in parts if p is not None and p.graph.m]
-    if not parts:
+    drawn side by side); outer dart taken from the first component.  None
+    when some component has no witness, as an isolated vertex has none."""
+    if None in parts:
         return None
     crossings: list[tuple[int, int]] = []
     edge_order: dict[int, tuple[int, ...]] = {}

@@ -503,7 +503,10 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 def treedepth_decomposition(g: Graph) -> TreedepthDecomposition:
     """Minimum-depth treedepth decomposition by exhaustive search with
     memoization over vertex subsets.  Inputs above ``TREEDEPTH_CAP``
-    vertices are rejected; callers may supply a decomposition instead."""
+    vertices are rejected; callers may supply a decomposition instead.
+
+    Every subtree is built as a connected component, so the result is its
+    own elimination tree: normalizing it changes nothing."""
     if g.n > TREEDEPTH_CAP:
         raise GraphError(f"treedepth search capped at {TREEDEPTH_CAP} "
                          f"vertices (n={g.n})")

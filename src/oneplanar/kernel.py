@@ -11,7 +11,9 @@ paths before it, p = path count):
 * ``kplanar``    subdivide every edge into a k-path, then the 1planar kernel
 
 Shortening replaces every path from the first threshold-meeting index j on
-by a path of exactly the threshold length at j.
+by a path of exactly the threshold length at j.  ``_threshold`` states each
+formula once: ``kernelize`` reads it along one walk over the paths, and
+``worst_case_size`` reads it with every path one edge too short.
 """
 
 from __future__ import annotations
@@ -69,19 +71,12 @@ def _threshold(variant: str, p: int, s_i: int) -> int:
     return (s_i * s_i + 3 * s_i + 1) * (p + 1) + 1
 
 
-def _k2(variant: str, ell: int, plan_extra=None) -> KernelResult:
-    g = Graph.build([(0, 1)])
-    plan = KernelPlan(variant, plan_extra, plan_extra.p if plan_extra else 0,
-                      ell, None, None,
-                      ("base-case",) * (plan_extra.p if plan_extra else 0), ())
-    return KernelResult(g, plan, {0: ("trivial-yes",)})
-
-
 def kernelize(g: Graph, variant: str, k: Optional[int] = None) -> KernelResult:
     """Kernelize with respect to the feedback edge number.  ell = 0 inputs
-    and base-case inputs short-circuit to the trivial yes-instance K_2; the
-    output graph otherwise is the degree-1-pruned input with every long
-    path shortened to its threshold length."""
+    and base-case inputs (shortest path of length >= p - 1) short-circuit
+    to the trivial yes-instance K_2; the output graph otherwise is the
+    degree-1-pruned input with every long path shortened to its threshold
+    length."""
     if variant not in VARIANTS:
         raise GraphError(f"unknown variant {variant!r}")
     if variant == "kplanar":
@@ -92,54 +87,36 @@ def kernelize(g: Graph, variant: str, k: Optional[int] = None) -> KernelResult:
 
     pruned = prune_degree_one(g)
     ell = feedback_edge_set(pruned).ell
-    if pruned.m == 0 or ell == 0:
-        return _k2(variant, ell)
+    dec = decompose_degree2_paths(pruned) if pruned.m and ell else None
+    if dec is None or dec.lengths[0] >= dec.p - 1:
+        p = dec.p if dec else 0
+        plan = KernelPlan(variant, dec, p, ell, None, None,
+                          ("base-case",) * p, ())
+        return KernelResult(Graph.build([(0, 1)]), plan, {0: ("trivial-yes",)})
 
-    dec = decompose_degree2_paths(pruned)
+    # One walk over the paths.  Path 1 never meets its threshold, which is
+    # at least p - 1 while the base case is excluded.
     p = dec.p
-    prefix = []
+    j = threshold = None
     total = 0
-    for length in dec.lengths:
-        prefix.append(total)
-        total += length
-
-    if dec.lengths[0] >= p - 1:
-        return _k2(variant, ell, dec)
-
-    j = None
-    for i in range(2, p + 1):
-        if dec.lengths[i - 1] >= _threshold(variant, p, prefix[i - 1]):
-            j = i
-            break
-
-    threshold = None if j is None else _threshold(variant, p, prefix[j - 1])
-    pairs: list[tuple[int, int]] = []
-    origins: list[tuple] = []
+    prefix: list[int] = []
+    origin: dict[tuple[int, int], tuple] = {}  # (min, max) pair -> origin
     classification = []
-    for i in range(1, p + 1):
-        walk = list(dec.vertex_paths[i - 1])
-        kept = j is None or i < j
-        if kept or dec.lengths[i - 1] <= threshold:
-            classification.append("kept" if kept else "shortened")
-            for seg, (u, v) in enumerate(zip(walk, walk[1:])):
-                pairs.append((u, v))
-                origins.append(("path", i, seg))
-            continue
-        classification.append("shortened")
-        target = threshold
-        if walk[0] == walk[-1]:
-            target = max(target, 3)  # closed paths stay simple cycles
-        new_walk = walk[:target] + [walk[-1]]
-        for seg, (u, v) in enumerate(zip(new_walk, new_walk[1:])):
-            pairs.append((u, v))
-            origins.append(("path", i, seg))
+    for i, (walk, length) in enumerate(zip(dec.vertex_paths, dec.lengths), 1):
+        prefix.append(total)
+        if j is None and length >= _threshold(variant, p, total):
+            j, threshold = i, _threshold(variant, p, total)
+        total += length
+        if j is not None and length > threshold:
+            # closed paths stay simple cycles
+            target = max(threshold, 3) if walk[0] == walk[-1] else threshold
+            walk = walk[:target] + walk[-1:]
+        classification.append("kept" if j is None else "shortened")
+        for seg, (u, v) in enumerate(zip(walk, walk[1:])):
+            origin[(min(u, v), max(u, v))] = ("path", i, seg)
 
-    vertices = {v for uv in pairs for v in uv}
-    kernel = Graph.build(pairs, vertices=vertices)
-    pair_to_origin = {}
-    for (u, v), origin in zip(pairs, origins):
-        pair_to_origin[(min(u, v), max(u, v))] = origin
-    provenance = {e: pair_to_origin[pr] for e, pr in kernel.edges.items()}
+    kernel = Graph.build(origin)
+    provenance = {e: origin[pr] for e, pr in kernel.edges.items()}
     plan = KernelPlan(variant, dec, p, ell, j, threshold,
                       tuple(classification), tuple(prefix))
     return KernelResult(kernel, plan, provenance)
@@ -160,12 +137,7 @@ def worst_case_size(ell: int, variant: str) -> int:
     s = p - 2
     limit = 10 ** _MAX_DIGITS
     for _ in range(2, p + 1):
-        if variant in ("1planar", "kplanar"):
-            s = 2 * s + p - 2
-        elif variant == "geo1planar":
-            s = 3 * s + 2 * p - 3
-        else:
-            s = s + (s * s + 3 * s + 1) * (p + 1)
+        s += _threshold(variant, p, s) - 1
         if s >= limit:
             raise GraphError(f"worst-case size over {_MAX_DIGITS} digits")
     return s

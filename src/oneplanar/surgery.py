@@ -12,6 +12,9 @@ two crossings in the opposite order, is the same swap with both subarcs
 reversed.  Every step is one reconnection per strand (``_splice``) at the
 crossing points, so every region of the drawing persists and the outer
 face can be tracked across every step.
+
+``reshorten`` relays the arrangement's planarization onto the int darts of
+the re-subdivided graph.
 """
 
 from __future__ import annotations
@@ -410,7 +413,9 @@ def reshorten(simplified: SimplifiedSystem, target: int,
     """Re-subdivide every flexible arc to exactly ``target`` edges, placing
     one subdivision vertex after each crossing (or one on each side of it
     with ``geometric``) and distributing leftovers on crossing-free tail
-    segments.  Returns the new graph with its validated 1-planar embedding."""
+    segments.  Every rotation and the outer dart are the arrangement's, each
+    dart moved onto the output dart leaving its node along the same strand.
+    Returns the new graph with its validated 1-planar embedding."""
     arr = simplified.arrangement
     g = simplified.original.host.graph
 
@@ -454,20 +459,11 @@ def reshorten(simplified: SimplifiedSystem, target: int,
         fresh += target - 1
         walks[cid] = [curve.tail] + inner + [curve.head]
 
-    pairs: list[tuple[int, int]] = []
-    walk_edge_pairs: dict[int, list[tuple[int, int]]] = {}
-    for cid in sorted(arr.curves):
-        w = walks[cid]
-        walk_edge_pairs[cid] = list(zip(w, w[1:]))
-        pairs.extend(walk_edge_pairs[cid])
+    pairs = [uv for cid in sorted(arr.curves)
+             for uv in zip(walks[cid], walks[cid][1:])]
     if len({(min(p), max(p)) for p in pairs}) != len(pairs):
         raise GraphError("target produces parallel edges between endpoints")
     out_graph = Graph.build(pairs)
-
-    def edge_at(cid: int, walk_pos: int) -> tuple[int, bool]:
-        """Edge id at walk position, plus whether the walk runs low->high."""
-        u, v = walk_edge_pairs[cid][walk_pos]
-        return out_graph.edge_between(u, v), u < v
 
     # crossing t of an arc sits on walk edge slot(t); the end edges touch
     # real vertices, so they are used only when the demand forces it
@@ -485,63 +481,53 @@ def reshorten(simplified: SimplifiedSystem, target: int,
                 for t, pid in enumerate(curve.seq)}
     cross_pairs = []
     edge_order: dict[int, list[int]] = {}
-    passage_edge: dict[int, tuple[int, bool]] = {}
     for i, node in enumerate(node_ids):
         eids = []
         for pid in sorted({p for p, _ in arr.node_rot[node]}):
             cid = arr.passage_curve[pid]
-            passage_edge[pid] = edge_at(cid, slot(cid, position[pid]))
-            eids.append(passage_edge[pid][0])
+            at = slot(cid, position[pid])
+            eids.append(out_graph.edge_between(*walks[cid][at:at + 2]))
         cross_pairs.append(tuple(eids))
         for eid in eids:
             edge_order.setdefault(eid, []).append(i)
     # unchecked, as perfbench/pool.json records outputs with adjacent crossings
     emb = unrotated_embedding(out_graph, cross_pairs, edge_order)
 
-    def end_dart(eid: int, at_vertex: int) -> int:
-        """The dart leaving ``at_vertex`` on the end segment of edge eid."""
-        segs = emb.edge_segments(eid)
-        return (2 * segs[0] if at_vertex == out_graph.edges[eid][0]
-                else 2 * segs[-1] + 1)
-
-    def curve_end_dart(cid: int, end: int) -> int:
+    # One walk per curve, curves in id order as in the arrangement's
+    # planarization, records the output darts along each of its segments;
+    # a dummy starts a new segment.  Fresh subdivision vertices get their
+    # degree-2 rotations on the way.
+    runs: list[list[int]] = []
+    start: dict = {}  # node-path entry -> index of the segment it starts
+    rotation: dict[int, tuple[int, ...]] = {}
+    for cid in sorted(arr.curves):
         w = walks[cid]
-        if end == _END0:
-            return end_dart(edge_at(cid, 0)[0], w[0])
-        return end_dart(edge_at(cid, len(w) - 2)[0], w[-1])
+        start.update((entry, len(runs) + i)
+                     for i, entry in enumerate(arr.node_path(cid)))
+        runs.append([])
+        for pos, (u, v) in enumerate(zip(w, w[1:])):
+            segs = emb.edge_segments(out_graph.edge_between(u, v))
+            darts = ([2 * s for s in segs] if u < v
+                     else [2 * s + 1 for s in reversed(segs)])
+            if pos:
+                rotation[u] = (runs[-1][-1] ^ 1, darts[0])
+            runs[-1].append(darts[0])
+            runs.extend([d] for d in darts[1:])
 
-    def passage_dart(pid: int, toward: int) -> int:
-        """The strand dart at a passage's dummy, leaving toward curve end
-        ``toward``: on segment 1 of its edge toward the larger endpoint, on
-        segment 0 toward the smaller."""
-        eid, low_first = passage_edge[pid]
-        segs = emb.edge_segments(eid)
-        return 2 * segs[1] if (toward == 1) == low_first else 2 * segs[0] + 1
+    def moved(d: int) -> int:
+        """The output dart leaving where arrangement dart d leaves."""
+        run = runs[d >> 1]
+        return run[-1] ^ 1 if d & 1 else run[0]
 
-    # real vertices keep their clockwise stub order
-    rotation = {v: tuple(curve_end_dart(cid, end) for cid, end in stubs)
-                for v, stubs in arr.real_rot.items()}
-
-    # fresh subdivision vertices have trivial degree-2 rotations
-    for cid in arr.arc_curve_ids():
-        w = walks[cid]
-        for pos in range(1, len(w) - 1):
-            v = w[pos]
-            rotation[v] = (end_dart(edge_at(cid, pos - 1)[0], v),
-                           end_dart(edge_at(cid, pos)[0], v))
-
-    # dummies: map (passage, toward) onto the containing edge's strand darts
-    for node, cp in zip(node_ids, emb.crossings):
-        rotation[cp.dummy] = tuple(passage_dart(pid, toward)
-                                   for pid, toward in arr.node_rot[node])
-
-    # outer face: the dart leaving the outer segment's first marker
+    # real vertices and dummies relay the arrangement's rotations
+    plan = arr.planarization()
+    dummy = {node: cp.dummy for node, cp in zip(node_ids, emb.crossings)}
+    for node, darts in plan.rotation.items():
+        rotation[dummy.get(node, node)] = tuple(map(moved, darts))
+    # the outer dart leaves entry a along the segment a starts when b
+    # follows a, and along the segment before it otherwise
     a, b = arr.outer_key
-    if _is_end(a):
-        outer = curve_end_dart(a[1], a[2])
-    else:
-        path = arr.node_path(arr.passage_curve[a])
-        outer = passage_dart(a, 1 if path[position[a] + 2] == b else 0)
+    outer = moved(2 * start[a] if start[b] > start[a] else 2 * start[a] - 1)
 
     emb = dataclasses.replace(emb, rotation=rotation, outer=outer)
     try:

@@ -25,6 +25,9 @@ bi: this is the branch a fresh forest would give.  The graph is cut down
 once, at the end or before a reject: a branch holds no deleted vertex, and
 its test graph drops the edges that leave it and its rim.
 
+A decomposition that `treedepth_decomposition` computes is its own
+elimination tree already, so only a given one is normalized.
+
 Structure is derived once per mutation, not once per query.  `TDContext`
 caches it keyed on the identity of ``ctx.graph`` and ``ctx.decomposition``;
 both are immutable and every deletion assigns new ones, so any reassignment
@@ -478,7 +481,6 @@ def run_pipeline(g: Graph, decomposition: Optional[TreedepthDecomposition] = Non
         except GraphError:
             return PipelineOutcome("reduced", None, g, 0,
                                    [{"action": "no-decomposition"}])
-        decomposition = normalize_decomposition(g, decomposition)
 
     ctx = TDContext(g, decomposition, decomposition.depth, thresholds,
                     oracle, oracle_cap)

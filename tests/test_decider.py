@@ -256,6 +256,15 @@ def test_decide_disconnected_components():
     validate_embedding(v.witness)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_decide_isolated_vertex_answers_without_witness(k):
+    """K4 plus an isolated vertex: the isolated vertex has no witness to
+    merge, so the YES comes without one instead of raising."""
+    g = Graph.build(complete_graph(4).edges.values(), vertices=range(5))
+    v = decide(g, Predicate("plain", k=k))
+    assert v.answer and v.witness is None
+
+
 def test_memoization_answers_match(rng):
     memo = {}
     for _ in range(6):

@@ -19,6 +19,7 @@ from oneplanar.graph import (
     TreedepthDecomposition,
     connected_components,
     format_edge_list,
+    treedepth_decomposition,
 )
 from oneplanar.td_pipeline import (
     TDContext,
@@ -331,6 +332,21 @@ def test_normalize_is_the_elimination_tree(rng):
         old_valid += 1
         assert list(old.parent.items()) == list(norm.parent.items())
     assert moved >= 500 and old_valid >= 1000 and old_invalid >= 20
+
+
+def test_treedepth_decomposition_is_its_own_elimination_tree(rng):
+    """``run_pipeline`` does not normalize the tree it builds: every subtree
+    of ``treedepth_decomposition`` is a connected component, so normalizing
+    it gives the same parent dict, key order included.  Graphs may be
+    disconnected and have isolated vertices."""
+    for _ in range(500):
+        n = rng.randint(1, 11)
+        density = rng.random()
+        g = Graph.build([p for p in itertools.combinations(range(n), 2)
+                         if rng.random() < density], vertices=range(n))
+        dec = treedepth_decomposition(g)
+        assert list(normalize_decomposition(g, dec).parent.items()) == list(
+            dec.parent.items())
 
 
 # ---------------------------------------------------------------------------
