@@ -534,30 +534,16 @@ def _test_rotation(skeleton: PlaneEmbedding, apex: tuple[int, ...] = ()
     """The rotation, in int darts, of a planar embedding of the skeleton's
     planarization, or None when it has none.  With ``apex``, the planarity
     test runs with one more vertex joined to those nodes, and the rotation
-    leaves it out.  Parallel segments (k >= 2) are subdivided for the test."""
+    leaves it out."""
     plan = skeleton.planarization
     nodes = sorted(plan.node_darts)
     index = {v: i for i, v in enumerate(nodes)}
-    count = len(nodes)
-    edges: list[tuple[int, int]] = []
-    dart_at: dict[tuple[int, int], int] = {}  # (node, neighbour) -> dart
-    for s, (a, b) in enumerate(plan.segments):
-        ia, ib = index[a], index[b]
-        if (ia, ib) in dart_at:
-            edges += [(ia, count), (count, ib)]
-            ia_to, ib_to = (ia, count), (ib, count)
-            count += 1
-        else:
-            edges.append((ia, ib))
-            ia_to, ib_to = (ia, ib), (ib, ia)
-        dart_at[ia_to], dart_at[ib_to] = 2 * s, 2 * s + 1
-    if apex:
-        edges += [(count, index[v]) for v in apex]
-        count += 1
-    rotation = planar_rotation(count, edges)
+    edges = [(index[a], index[b]) for a, b in plan.segments]
+    edges += [(len(nodes), index[v]) for v in apex]
+    rotation = planar_rotation(len(nodes) + bool(apex), edges)
     if rotation is None:
         return None
-    return {v: tuple(dart_at[i, w] for w in rotation[i] if (i, w) in dart_at)
+    return {v: tuple(d for d in rotation[i] if d < plan.dart_count)
             for i, v in enumerate(nodes)}
 
 
@@ -788,30 +774,22 @@ def decide(g: Graph, pred: Predicate, cap: int = DEFAULT_EDGE_CAP,
         return got.answer
 
     plain = Predicate("plain", geometric=pred.geometric, k=pred.k)
-    comp_of = {v: c for c in comps for v in c}
-
-    if pred.variant == "plain":
-        answer = all(run(c, plain) for c in comps)
-    elif pred.variant == "a-outer":
-        answer = all(
-            run(c, pred if pred.a in c else plain)
-            for c in comps)
-    else:
-        ca, cb = comp_of[pred.a], comp_of[pred.b]
-        if ca == cb:
-            answer = all(run(c, pred if c == ca else plain) for c in comps)
-        else:
-            rest_ok = all(run(c, plain) for c in comps if c not in (ca, cb))
-            a_out = Predicate("a-outer", a=pred.a, geometric=pred.geometric,
-                              k=pred.k)
-            b_out = Predicate("a-outer", a=pred.b, geometric=pred.geometric,
-                              k=pred.k)
-            if pred.variant == "ab-outer":
-                answer = rest_ok and run(ca, a_out) and run(cb, b_out)
-            else:  # ab-shared across components
-                answer = rest_ok and (
-                    (run(ca, plain) and run(cb, b_out))
-                    or (run(ca, a_out) and run(cb, plain)))
+    anchors = set(pred.anchors)
+    if any(anchors <= c for c in comps):  # no anchors, or all in one
+        answer = all(run(c, pred if anchors <= c else plain) for c in comps)
+    else:  # a and b in different components
+        ca, cb = [next(c for c in comps if v in c) for v in pred.anchors]
+        rest_ok = all(run(c, plain) for c in comps if c not in (ca, cb))
+        a_out = Predicate("a-outer", a=pred.a, geometric=pred.geometric,
+                          k=pred.k)
+        b_out = Predicate("a-outer", a=pred.b, geometric=pred.geometric,
+                          k=pred.k)
+        if pred.variant == "ab-outer":
+            answer = rest_ok and run(ca, a_out) and run(cb, b_out)
+        else:  # ab-shared across components
+            answer = rest_ok and (
+                (run(ca, plain) and run(cb, b_out))
+                or (run(ca, a_out) and run(cb, plain)))
 
     witness = None
     if answer and not pred.geometric and pred.variant == "plain":

@@ -218,6 +218,15 @@ class PlaneEmbedding:
         return [self._seg_table[(e, j)]
                 for j in range(self.crossings_of_edge(e) + 1)]
 
+    def edge_darts(self, e: int, v: int) -> list[int]:
+        """The darts along edge e leaving its endpoint v, in path order from
+        v: forward ``2s`` from the smaller endpoint, backward ``2s + 1``
+        from the larger."""
+        segs = self.edge_segments(e)
+        if v == self.graph.edges[e][0]:
+            return [2 * s for s in segs]
+        return [2 * s + 1 for s in reversed(segs)]
+
     def strand(self, e: int, v: int, dummy: int) -> int:
         """The segment of edge e that meets ``dummy`` on the side of the
         edge's endpoint v."""

@@ -1,12 +1,15 @@
 """Left-right planarity test with a planar embedding (Brandes, "The
 Left-Right Planarity Test", 2009, after de Fraysseix and Rosenstiehl).
 
-``planar_rotation`` works on a simple graph with nodes ``0..n-1``.  Each of
-the three depth-first phases (orientation, testing, embedding) keeps its
-own stack of nodes, each with an iterator over its remaining edges, so the
-Python call depth stays constant however deep the DFS tree is.  The work a
-recursive version does after a child returns is done when the child is
-popped.
+``planar_rotation`` works on a loopless multigraph with nodes ``0..n-1``
+and answers in darts numbered from the caller's edge list: dart ``2i``
+leaves ``edges[i][0]`` and dart ``2i + 1`` leaves ``edges[i][1]``.  There
+is no early return on edge density, which a multigraph may exceed while
+planar.  Each of the three depth-first phases (orientation, testing,
+embedding) keeps its own stack of nodes, each with an iterator over its
+remaining edges, so the Python call depth stays constant however deep the
+DFS tree is.  The work a recursive version does after a child returns is
+done when the child is popped.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ class _NotPlanar(Exception):
 
 def planar_rotation(n: int, edges: Sequence[tuple[int, int]]
                     ) -> Optional[list[list[int]]]:
-    """The clockwise neighbour order at each node of a planar embedding of
-    the simple graph on ``0..n-1`` with the given edges, or None when the
-    graph is not planar.  Linear time apart from sorting adjacency lists by
-    nesting depth."""
+    """The clockwise darts at each node of a planar embedding of the
+    loopless multigraph on ``0..n-1`` with the given edges, or None when
+    the graph is not planar.  Dart ``2i`` of edge i leaves ``edges[i][0]``
+    and dart ``2i + 1`` leaves ``edges[i][1]``.  Linear time apart from
+    sorting adjacency lists by nesting depth."""
     m = len(edges)
-    if n > 2 and m > 3 * n - 6:
-        return None
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
         adj[u].append((v, i))
@@ -210,20 +212,19 @@ def planar_rotation(n: int, edges: Sequence[tuple[int, int]]
             s = side[x] = side[x] * s
             ref[x] = None
         nesting[i] *= side[i]
-    # the rotation at each node as a cyclic list: cw[v][w] follows w
+    # the rotation at each node as a cyclic list of edges: cw[v][i] follows i
     cw: list[dict[int, int]] = [{} for _ in range(n)]
     ccw: list[dict[int, int]] = [{} for _ in range(n)]
     for v in range(n):
         out[v].sort(key=nesting.__getitem__)
-        ws = [dst[i] for i in out[v]]
-        for j, w in enumerate(ws):
-            cw[v][w] = ws[(j + 1) % len(ws)]
-            ccw[v][w] = ws[j - 1]
+        for j, i in enumerate(out[v]):
+            cw[v][i] = out[v][(j + 1) % len(out[v])]
+            ccw[v][i] = out[v][j - 1]
 
-    def insert_after(v: int, ref_w: int, w: int) -> None:
-        nxt = cw[v][ref_w]
-        cw[v][ref_w], cw[v][w] = w, nxt
-        ccw[v][nxt], ccw[v][w] = w, ref_w
+    def insert_after(v: int, ref_i: int, i: int) -> None:
+        nxt = cw[v][ref_i]
+        cw[v][ref_i], cw[v][i] = i, nxt
+        ccw[v][nxt], ccw[v][i] = i, ref_i
 
     left_ref = [0] * n
     right_ref = [0] * n
@@ -232,25 +233,25 @@ def planar_rotation(n: int, edges: Sequence[tuple[int, int]]
         while stack:
             for i in stack[-1]:
                 v, w = src[i], dst[i]
-                if i == parent_edge[w]:  # tree edge: v goes first at w
+                if i == parent_edge[w]:  # tree edge: i goes first at w
                     if out[w]:
-                        insert_after(w, ccw[w][dst[out[w][0]]], v)
+                        insert_after(w, ccw[w][out[w][0]], i)
                     else:
-                        cw[w][v] = ccw[w][v] = v
-                    left_ref[v] = right_ref[v] = w
+                        cw[w][i] = ccw[w][i] = i
+                    left_ref[v] = right_ref[v] = i
                     stack.append(iter(out[w]))
                     break
-                if side[i] == 1:  # back edge: v right after right_ref[w]
-                    insert_after(w, right_ref[w], v)
-                else:  # back edge: v right before left_ref[w]
-                    insert_after(w, ccw[w][left_ref[w]], v)
-                    left_ref[w] = v
+                if side[i] == 1:  # back edge: i right after right_ref[w]
+                    insert_after(w, right_ref[w], i)
+                else:  # back edge: i right before left_ref[w]
+                    insert_after(w, ccw[w][left_ref[w]], i)
+                    left_ref[w] = i
             else:
                 stack.pop()
     rotation = []
-    for succ in cw:
+    for v, succ in enumerate(cw):
         order = list(succ)[:1]
         while order and succ[order[-1]] != order[0]:
             order.append(succ[order[-1]])
-        rotation.append(order)
+        rotation.append([2 * i + (edges[i][0] != v) for i in order])
     return rotation

@@ -13,8 +13,8 @@ reversed.  Every step is one reconnection per strand (``_splice``) at the
 crossing points, so every region of the drawing persists and the outer
 face can be tracked across every step.
 
-``reshorten`` relays the arrangement's planarization onto the int darts of
-the re-subdivided graph.
+``reshorten`` relays the arrangement's planarization and its outer dart
+onto the int darts of the re-subdivided graph.
 """
 
 from __future__ import annotations
@@ -162,10 +162,7 @@ class Arrangement:
             curve = arr.curves[cid] = _Curve(kind, ref, walk[0], walk[-1],
                                              walk[0] == walk[-1], [])
             for e, v in zip(edges, walk):
-                forward = v == g.edges[e][0]
-                segs = host.edge_segments(e)
-                for i, s in enumerate(segs if forward else segs[::-1]):
-                    d = 2 * s + (0 if forward else 1)
+                for i, d in enumerate(host.edge_darts(e, v)):
                     if i:
                         pid = arr._next_pid
                         arr._next_pid += 1
@@ -203,11 +200,11 @@ class Arrangement:
             return curve.tail if marker[2] == _END0 else curve.head
         return self.passage_node[marker]
 
-    def planarization(self) -> Planarization:
-        """Segments follow each curve's node path, curves in id order: the
-        dart leaving a path entry toward the curve's head is twice the index
-        of the segment the entry starts, and the one toward its tail is one
-        less."""
+    def planarization(self) -> tuple[Planarization, int]:
+        """The planarization and its outer dart.  Segments follow each
+        curve's node path, curves in id order: the dart leaving a path entry
+        toward the curve's head is twice the index of the segment the entry
+        starts, and the one toward its tail is one less."""
         segments = []
         start: dict = {}  # path entry -> index of the segment it starts
         for cid in sorted(self.curves):
@@ -228,10 +225,12 @@ class Arrangement:
             # stub at its head toward its tail
             rotation[v] = tuple(leaving(_emark(cid, end), 1 - end)
                                 for cid, end in stubs)
-        return Planarization(tuple(segments), rotation)
+        a, b = self.outer_key  # the outer dart leaves a toward b
+        outer = leaving(a, _END1 if start[b] > start[a] else _END0)
+        return Planarization(tuple(segments), rotation), outer
 
     def validate(self) -> None:
-        plan = self.planarization()
+        plan, _ = self.planarization()
         plan.check_genus_zero()
         for node, rot in self.node_rot.items():
             pids = [p for p, _ in rot]
@@ -498,17 +497,12 @@ def reshorten(simplified: SimplifiedSystem, target: int,
     # a dummy starts a new segment.  Fresh subdivision vertices get their
     # degree-2 rotations on the way.
     runs: list[list[int]] = []
-    start: dict = {}  # node-path entry -> index of the segment it starts
     rotation: dict[int, tuple[int, ...]] = {}
     for cid in sorted(arr.curves):
         w = walks[cid]
-        start.update((entry, len(runs) + i)
-                     for i, entry in enumerate(arr.node_path(cid)))
         runs.append([])
         for pos, (u, v) in enumerate(zip(w, w[1:])):
-            segs = emb.edge_segments(out_graph.edge_between(u, v))
-            darts = ([2 * s for s in segs] if u < v
-                     else [2 * s + 1 for s in reversed(segs)])
+            darts = emb.edge_darts(out_graph.edge_between(u, v), u)
             if pos:
                 rotation[u] = (runs[-1][-1] ^ 1, darts[0])
             runs[-1].append(darts[0])
@@ -520,16 +514,12 @@ def reshorten(simplified: SimplifiedSystem, target: int,
         return run[-1] ^ 1 if d & 1 else run[0]
 
     # real vertices and dummies relay the arrangement's rotations
-    plan = arr.planarization()
+    plan, outer = arr.planarization()
     dummy = {node: cp.dummy for node, cp in zip(node_ids, emb.crossings)}
     for node, darts in plan.rotation.items():
         rotation[dummy.get(node, node)] = tuple(map(moved, darts))
-    # the outer dart leaves entry a along the segment a starts when b
-    # follows a, and along the segment before it otherwise
-    a, b = arr.outer_key
-    outer = moved(2 * start[a] if start[b] > start[a] else 2 * start[a] - 1)
 
-    emb = dataclasses.replace(emb, rotation=rotation, outer=outer)
+    emb = dataclasses.replace(emb, rotation=rotation, outer=moved(outer))
     try:
         validate_embedding(emb)
     except Exception as err:  # demand-tight targets can force end-edge clashes

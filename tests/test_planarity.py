@@ -1,5 +1,6 @@
-"""The left-right planarity test against ``networkx.check_planarity``, and
-every embedding it returns checked for genus 0 by face tracing.
+"""The left-right planarity test against ``networkx.check_planarity``, on
+simple graphs and multigraphs, and every embedding it returns checked for
+genus 0 by face tracing.
 
 On the planarizations of a named graph, networkx is asked once per orbit of
 crossing assignments under the graph's automorphisms (isomorphic
@@ -25,25 +26,26 @@ nx = pytest.importorskip("networkx")
 
 def genus_zero(n: int, edges: list[tuple[int, int]],
                rotation: list[list[int]]) -> bool:
-    """True when ``rotation`` lists each node's neighbours exactly once and
-    every component with an edge has V - E + F = 2."""
-    nbrs = [set() for _ in range(n)]
-    for u, v in edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    if any(sorted(rotation[v]) != sorted(nbrs[v]) for v in range(n)):
+    """True when ``rotation`` lists each dart exactly once, at the node it
+    leaves (dart ``2i + j`` leaves ``edges[i][j]``), and every component
+    with an edge has V - E + F = 2."""
+    if (sorted(d for rot in rotation for d in rot) != list(range(2 * len(edges)))
+            or any(edges[d >> 1][d & 1] != v
+                   for v in range(n) for d in rotation[v])):
         return False
-    pos = [{w: i for i, w in enumerate(rot)} for rot in rotation]
-    seen: set[tuple[int, int]] = set()
+    nxt = {}  # the next dart of a face: the successor of the twin
+    for rot in rotation:
+        for i, d in enumerate(rot):
+            nxt[rot[i - 1] ^ 1] = d
+    seen: set[int] = set()
     faces = 0
-    for dart in itertools.chain(edges, ((v, u) for u, v in edges)):
+    for dart in nxt:
         if dart in seen:
             continue
         faces += 1
-        while dart not in seen:  # next dart: the successor of the twin
+        while dart not in seen:
             seen.add(dart)
-            u, v = dart
-            dart = (v, rotation[v][(pos[v][u] + 1) % len(rotation[v])])
+            dart = nxt[dart]
     parent: dict[int, int] = {}  # union-find over the touched nodes
 
     def find(v: int) -> int:
@@ -117,10 +119,31 @@ def test_every_planarization_up_to_three_crossings(name, g):
     assert planar == {"K5": 15, "K3,4": 420}.get(name, planar) > 0
 
 
+def test_multigraphs_agree_with_networkx():
+    """Parallel edges are legal input and leave the verdict to the
+    underlying simple graph; the rotation lists every parallel dart.  A
+    tripled triangle (9 > 3n - 6 edges) and a triple bond are planar."""
+    assert check(3, [(0, 1), (1, 2), (2, 0)] * 3, True)
+    assert check(2, [(0, 1)] * 3, True)
+    rng = random.Random(2009)
+    verdicts = set()
+    parallel = 0
+    for _ in range(2000):
+        n = rng.randint(2, 10)
+        pairs = list(itertools.combinations(range(n), 2))
+        simple = rng.sample(pairs, rng.randint(1, min(len(pairs), 3 * n)))
+        edges = simple + [rng.choice(simple) for _ in range(rng.randint(0, n))]
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        parallel += len(edges) > len(simple)
+        verdicts.add(check(n, edges))  # networkx collapses parallel edges
+    assert verdicts == {False, True} and parallel >= 1000
+
+
 def test_trivial_graphs():
     assert planar_rotation(0, []) == []
     assert planar_rotation(3, []) == [[], [], []]
-    assert planar_rotation(2, [(0, 1)]) == [[1], [0]]
+    assert planar_rotation(2, [(0, 1)]) == [[0], [1]]
     assert planar_rotation(5, list(itertools.combinations(range(5), 2))) is None
 
 

@@ -15,6 +15,7 @@ anchors."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from oneplanar.decider import (
     Predicate,
     _accepted_outer,
     _test_rotation,
+    crossing_lower_bound,
     decide,
     density_excludes,
     enumerate_crossing_sets,
@@ -172,9 +174,9 @@ def test_random_graphs_match_the_rotation_loop():
     assert crossed >= 50
 
 
-def test_parallel_segments_are_subdivided_for_the_test():
+def test_parallel_segments_reach_the_test_as_parallel_edges():
     """Two edges crossing twice (k = 2) leave two parallel segments between
-    the dummies; the test still sees a simple graph, and its rotation is a
+    the dummies; the test takes them as they are, and its rotation is a
     genus-0 rotation of the planarization."""
     g = Graph.build([(0, 1), (2, 3)])
     doubles = [a for a in enumerate_crossing_sets(g, k=2) if len(a.pairs) == 2]
@@ -187,3 +189,29 @@ def test_parallel_segments_are_subdivided_for_the_test():
         assert rotation is not None
         emb = dataclasses.replace(skeleton, rotation=rotation, outer=0)
         emb.planarization.check_genus_zero()
+
+
+@pytest.mark.parametrize("k,tests,lenses", [(2, 1313, 100), (3, 1499, 170)])
+def test_k6_planarizations_with_parallel_segments_fail(k, tests, lenses):
+    """Every planarization the K6 search tests before its witness, and so
+    each of those with parallel segments, fails the test, as networkx
+    agrees; the witness, as ``decide --witness`` writes it, is the one
+    recorded when parallel segments were still subdivided for the test."""
+    nx = pytest.importorskip("networkx")
+    g = complete_graph(6)
+    got = decide(g, Predicate(k=k), cap=CAP)
+    assert got.answer and got.stats.planarity_tests == tests
+    text = embedding_to_json(got.witness) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e04c30fce6bc3b317469156979a987b9e70e365c0fba435251b7bf9f2d4a73b7")
+    seen = 0
+    for a in enumerate_crossing_sets(g, k, crossing_lower_bound(g)):
+        skeleton = unrotated_embedding(g, a.pairs, a.edge_order)
+        segments = skeleton.planarization.segments
+        if _test_rotation(skeleton) is not None:
+            break
+        seen += 1
+        if len({frozenset(s) for s in segments}) < len(segments):
+            lenses -= 1
+            assert not nx.check_planarity(nx.Graph(segments))[0]
+    assert seen == tests - 1 and lenses == 0
