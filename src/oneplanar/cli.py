@@ -3,7 +3,9 @@
 Verdict subcommands print YES or NO and exit 0 regardless of the verdict;
 malformed input files and failed preconditions exit 1 with one ``ERROR:``
 line, usage errors and unreadable or unwritable paths exit 2 and exceeded
-caps exit 3.  All output is deterministic: identical inputs produce
+caps exit 3; ``decide --report`` then still writes its report, with
+``"answer": null`` and the limit that stopped the search under
+``cap_exceeded``.  All output is deterministic: identical inputs produce
 byte-identical files.  The parser is built once per process, on the first
 ``main`` call, and ``build_parser`` returns that shared parser.
 Output files are written over in place and cut to length if regular, not
@@ -164,19 +166,28 @@ def _report(path: str | None, payload: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _decide_report(path: str | None, answer, stats: decider.DecideStats,
+                   **extra) -> None:
+    _report(path, {"answer": answer,
+                   "embeddings_enumerated": stats.valid_embeddings,
+                   "stats": dict(vars(stats)), **extra})
+
+
 def _cmd_decide(args) -> int:
     g = _load_graph(args.infile)
     pred = Predicate(args.pred, a=args.a, b=args.b,
                      geometric=args.geometric, k=args.k)
-    verdict = decider.decide(g, pred, cap=args.cap,
-                             want_witness=args.witness is not None)
+    try:
+        verdict = decider.decide(g, pred, cap=args.cap,
+                                 want_witness=args.witness is not None)
+    except CapExceeded as err:  # the report says how far the search got
+        _decide_report(args.report, None, err.stats,
+                       cap_exceeded=err.limit)
+        raise
     print("YES" if verdict.answer else "NO")
     if args.witness and verdict.witness is not None:
         _write(args.witness, embedding_to_json(verdict.witness) + "\n")
-    _report(args.report, {"answer": verdict.answer,
-                          "embeddings_enumerated":
-                          verdict.embeddings_enumerated,
-                          "stats": dict(vars(verdict.stats))})
+    _decide_report(args.report, verdict.answer, verdict.stats)
     return EXIT_OK
 
 

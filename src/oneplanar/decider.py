@@ -19,19 +19,23 @@ segments, the apex's path counted as one, which are all planar.
 * A topological predicate is answered by the first assignment that passes;
   a-outer is plain 1-planarity.  The witness is the test's rotation
   system, apex removed, with an outer face picked by ``_accepted_outer``.
-* A geometric predicate enumerates every genus-0 rotation system and every
-  outer face of the assignments that pass, because Thomassen's B/W check
-  depends on the whole embedding: a graph is a yes-instance iff some valid
-  1-planar embedding together with an outer-face choice is free of B- and
-  W-configurations.  No coordinates are produced.  The rotation systems
-  are built by face insertion, one segment of the planarization at a time:
-  a chord goes only into two corners of one face, so no partial map leaves
-  genus 0, and a dummy's fourth dart only between the darts of one edge.
-  Up to ``SORTED_SYSTEMS`` systems of an assignment are sorted into the
-  order of the product of per-node rotations, which fixes the witnesses;
-  more stream in build order.  At most ``INSERTION_BUDGET`` insertion
-  steps are taken per ``decide`` call; beyond it the search raises
-  ``CapExceeded``.
+* A geometric predicate needs some genus-0 rotation system and outer face
+  of an assignment that pass, because Thomassen's B/W check depends on the
+  whole embedding: a graph is a yes-instance iff some valid 1-planar
+  embedding together with an outer-face choice is free of B- and
+  W-configurations.  No coordinates are produced.  An assignment that
+  passed the test has its test embedding examined first, if every dummy
+  alternates there; only when no outer face of it is accepted are all its
+  rotation systems examined.  An assignment of fewer than 9 segments is
+  not tested and goes straight to the rotation systems.  They are built
+  by face insertion, one segment of the planarization at a time: a chord
+  goes only into two corners of one face, so no partial map leaves genus
+  0, and a dummy's fourth dart only between the darts of one edge.  Up to
+  ``SORTED_SYSTEMS`` systems of an assignment are sorted into the order of
+  the product of per-node rotations; more stream in build order.  At most
+  ``INSERTION_BUDGET`` insertion steps are taken per ``decide`` call;
+  beyond it the search raises ``CapExceeded``, which carries the stats
+  gathered so far.
 
 For k >= 2 only the topological deciders are available; no straightening
 characterization exists there.
@@ -40,16 +44,16 @@ characterization exists there.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .embedding import (
     PlaneEmbedding,
     Planarization,
+    alternation_fault,
     build_embedding,
     unrotated_embedding,
     validate_embedding,
@@ -69,7 +73,16 @@ SORTED_SYSTEMS = 1000
 
 
 class CapExceeded(RuntimeError):
-    """Instance exceeds the configured brute-force cap."""
+    """Instance exceeds the configured brute-force cap.  A ``decide`` search
+    names the limit that stopped it, ``"edge_cap"`` or
+    ``"insertion_budget"``, and hands over the ``DecideStats`` gathered so
+    far; other callers leave both None."""
+
+    def __init__(self, message: str, limit: Optional[str] = None,
+                 stats: Optional[DecideStats] = None):
+        super().__init__(message)
+        self.limit = limit
+        self.stats = stats
 
 
 @dataclass(frozen=True)
@@ -116,7 +129,7 @@ class DecideStats:
     density_rejections: int = 0  # components ruled out by edge density
     insertions: int = 0  # segment insertion steps of the geometric search
     rotation_systems: int = 0  # genus-0 systems it built
-    valid_embeddings: int = 0  # rotation systems examined, or the test's
+    valid_embeddings: int = 0  # test embeddings and rotation systems examined
     outer_faces_checked: int = 0
     bw_candidates: int = 0  # B/W candidates built for geometric predicates
     memo_hits: int = 0
@@ -488,7 +501,8 @@ def _rotations(skeleton: PlaneEmbedding, stats: DecideStats
         stats.insertions += 1
         if stats.insertions > INSERTION_BUDGET:
             raise CapExceeded(
-                f"rotation search exceeds {INSERTION_BUDGET} insertion steps")
+                f"rotation search exceeds {INSERTION_BUDGET} insertion steps",
+                "insertion_budget", stats)
         insert(da, choice[0])
         insert(db, choice[1])
         taken[i] = choice
@@ -519,14 +533,16 @@ def _system_iter(skeleton: PlaneEmbedding, stats: DecideStats
     """Yield one PlaneEmbedding per system of ``_rotations``; the outer dart
     is a placeholder.  Up to ``SORTED_SYSTEMS`` systems are yielded in the
     order of the product of per-node rotations listed from their smallest
-    darts, as lexicographic tuples; more stream in build order."""
+    darts, as lexicographic tuples; more stream in build order.  The sort
+    orders only ``enumerate_embeddings`` and the geometric search's
+    fallback after a rejected test embedding, and so those witnesses."""
     nodes = sorted(skeleton.planarization.node_darts)
     systems = _rotations(skeleton, stats)
     head = list(itertools.islice(systems, SORTED_SYSTEMS + 1))
     if len(head) <= SORTED_SYSTEMS:
         head.sort(key=lambda rot: [rot[v] for v in nodes])
     for rot in itertools.chain(head, systems):
-        yield dataclasses.replace(skeleton, rotation=rot, outer=0)
+        yield skeleton.rotated(rot, 0)
 
 
 def _test_rotation(skeleton: PlaneEmbedding, apex: tuple[int, ...] = ()
@@ -562,7 +578,7 @@ def enumerate_embeddings(g: Graph, crossings) -> Iterator[PlaneEmbedding]:
         raise GraphError("enumerate_embeddings needs a connected drawing")
     for emb in _system_iter(skeleton, DecideStats()):
         for cyc in emb.planarization.faces:
-            yield dataclasses.replace(emb, outer=cyc[0])
+            yield emb.rotated(emb.rotation, cyc[0])
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +682,27 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
     edges to touch instead of cross, the dummy could be split in two and
     the edges uncrossed there, a planar planarization of an assignment with
     one crossing less, which was tried before and failed, or lies below the
-    bound and cannot be planar."""
+    bound and cannot be planar.
+
+    A geometric predicate examines the test's embedding first, and all
+    rotation systems of the assignment (``_system_iter``) only when no
+    outer face of it is accepted.  That changes no answer: the test's
+    embedding, or its mirror image, is one of those systems, and a mirror
+    image keeps both its B/W configurations and its faces.  Here the
+    argument above does not hold: an assignment with one crossing less may
+    have passed the test and been rejected by the B/W check, so a dummy of
+    the test's embedding may have touching edges.  Its rotation is used
+    only when every dummy alternates (``alternation_fault``, the check of
+    ``validate_embedding``), as nothing else would catch it without a
+    witness to validate.  A planarization of fewer than 9 segments skips
+    the test and goes straight to the rotation systems, which are few
+    there; the test would cost more than it saves."""
     if density_excludes(g, pred.geometric) and pred.k == 1:
         stats.density_rejections += 1
         return Verdict(False, None, stats)
     if g.m > cap:
-        raise CapExceeded(f"{g.m} edges exceeds decider cap {cap}")
+        raise CapExceeded(f"{g.m} edges exceeds decider cap {cap}",
+                          "edge_cap", stats)
     if g.m == 0:
         return Verdict(True, None, stats)
 
@@ -686,8 +717,9 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
             continue
         skeleton = unrotated_embedding(g, assignment.pairs,
                                        assignment.edge_order)
+        embs: Iterable[PlaneEmbedding] = ()
         # Fewer than 9 segments, the apex's path ab counted as one, are
-        # planar (K3,3 has 9); the geometric search needs no rotation.
+        # planar (K3,3 has 9); the geometric search needs no test there.
         if (not pred.geometric
                 or g.m + 2 * len(assignment.pairs) + bool(apex) >= 9):
             stats.planarity_tests += 1
@@ -695,8 +727,11 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
             if rotation is None:
                 stats.planarity_failed += 1
                 continue
-        embs = (_system_iter(skeleton, stats) if pred.geometric else
-                [dataclasses.replace(skeleton, rotation=rotation, outer=0)])
+            emb = skeleton.rotated(rotation, 0)
+            if not pred.geometric or alternation_fault(emb) is None:
+                embs = (emb,)
+        if pred.geometric:
+            embs = itertools.chain(embs, _system_iter(skeleton, stats))
         for emb in embs:
             stats.valid_embeddings += 1
             outer = _accepted_outer(emb, pred, stats)
@@ -704,8 +739,8 @@ def _decide_connected(g: Graph, pred: Predicate, cap: int,
                 continue
             witness = None
             if want_witness:
-                witness = dataclasses.replace(
-                    emb, outer=emb.planarization.faces[outer][0])
+                witness = emb.rotated(emb.rotation,
+                                      emb.planarization.faces[outer][0])
                 validate_embedding(witness)
             return Verdict(True, witness, stats)
     return Verdict(False, None, stats)

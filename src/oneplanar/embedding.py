@@ -21,7 +21,6 @@ the edge (0 for uncrossed edges, in which case JSON omits it).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -117,6 +116,17 @@ class Planarization:
         darts = self.node_darts
         return connected_components(
             darts, lambda v: (self.target(d) for d in darts[v]))
+
+    def rotated(self, rotation: dict[int, tuple[int, ...]]) -> Planarization:
+        """This planarization with another rotation: ``node_darts`` and
+        ``components`` depend only on the segments and carry over.  The
+        same rotation object gives back this planarization, faces and all."""
+        if rotation is self.rotation:
+            return self
+        plan = Planarization(self.segments, rotation)
+        plan.__dict__.update(node_darts=self.node_darts,
+                             components=self.components)
+        return plan
 
     def check_genus_zero(self) -> None:
         """Euler check: a component of genus g has V - E + F = 2 - 2g, so
@@ -249,6 +259,20 @@ class PlaneEmbedding:
             segs.extend(zip(path, path[1:]))
         return Planarization(tuple(segs), self.rotation)
 
+    def rotated(self, rotation: dict[int, tuple[int, ...]],
+                outer: Optional[int]) -> PlaneEmbedding:
+        """This embedding with another rotation and outer dart, unchecked.
+        The segment tables and the planarization's ``node_darts`` and
+        ``components`` depend only on the graph and its crossings and carry
+        over (``Planarization.rotated``); so does the whole planarization
+        when ``rotation`` is this embedding's own rotation object."""
+        emb = PlaneEmbedding(self.graph, self.crossings, self.edge_order,
+                             rotation, outer)
+        emb.__dict__.update(_seg_info=self._seg_info,
+                            _seg_table=self._seg_table,
+                            planarization=self.planarization.rotated(rotation))
+        return emb
+
     # -- faces ----------------------------------------------------------------
 
     @cached_property
@@ -331,10 +355,10 @@ def build_embedding(
             raise EmbeddingError(
                 "multiplicity", f"edge {e} crossed {times} > k={k} times")
     emb = unrotated_embedding(g, crossings, edge_order)
-    emb = dataclasses.replace(
-        emb, rotation={v: tuple(_encoded_to_int(emb, d) for d in darts)
-                       for v, darts in rotation.items()},
-        outer=None if outer is None else _encoded_to_int(emb, outer))
+    emb = emb.rotated(
+        {v: tuple(_encoded_to_int(emb, d) for d in darts)
+         for v, darts in rotation.items()},
+        None if outer is None else _encoded_to_int(emb, outer))
     validate_embedding(emb)
     return emb
 
@@ -347,6 +371,20 @@ def _encoded_to_int(emb: PlaneEmbedding, dart: Sequence[int]) -> int:
         if s is not None:
             return 2 * s + dart[1]
     return -1
+
+
+def alternation_fault(emb: PlaneEmbedding) -> Optional[str]:
+    """Why some dummy of emb is no crossing, or None when every dummy has
+    degree 4 and its rotation alternates between its two edges.  The
+    rotation must list every dummy."""
+    for c in emb.crossings:
+        rot = emb.rotation[c.dummy]
+        if len(rot) != 4:
+            return f"dummy {c.dummy} has degree {len(rot)}"
+        owners = [emb.edge_of(d) for d in rot]
+        if owners[0] == owners[1] or owners[1] == owners[2]:
+            return f"dummy {c.dummy} rotation does not alternate edges"
+    return None
 
 
 def validate_embedding(emb: PlaneEmbedding) -> None:
@@ -369,16 +407,9 @@ def validate_embedding(emb: PlaneEmbedding) -> None:
         if v not in node_darts:
             raise EmbeddingError("dangling-dart", f"rotation for unknown {v}")
 
-    for c in emb.crossings:
-        rot = emb.rotation[c.dummy]
-        if len(rot) != 4:
-            raise EmbeddingError("alternation",
-                                 f"dummy {c.dummy} has degree {len(rot)}")
-        owners = [emb.edge_of(d) for d in rot]
-        if owners[0] == owners[1] or owners[1] == owners[2]:
-            raise EmbeddingError(
-                "alternation",
-                f"dummy {c.dummy} rotation does not alternate edges")
+    fault = alternation_fault(emb)
+    if fault is not None:
+        raise EmbeddingError("alternation", fault)
 
     plan.check_genus_zero()
 

@@ -19,7 +19,6 @@ onto the int darts of the re-subdivided graph.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -519,7 +518,7 @@ def reshorten(simplified: SimplifiedSystem, target: int,
     for node, darts in plan.rotation.items():
         rotation[dummy.get(node, node)] = tuple(map(moved, darts))
 
-    emb = dataclasses.replace(emb, rotation=rotation, outer=moved(outer))
+    emb = emb.rotated(rotation, moved(outer))
     try:
         validate_embedding(emb)
     except Exception as err:  # demand-tight targets can force end-edge clashes

@@ -123,23 +123,57 @@ def test_decide_cap_exit_code(tmp_path):
     assert main(["decide", "--in", infile, "--cap", "11"]) == 3
 
 
+def test_decide_cap_exceeded_writes_a_report(tmp_path, capsys):
+    """The edge cap stops ``decide`` before any search: exit 3 with the one
+    ``CAP EXCEEDED:`` line, and the report holds no answer, the limit and
+    the work done, none."""
+    infile = write_graph(tmp_path, "k5.edges", complete_graph(5))
+    report = tmp_path / "r.json"
+    assert main(["decide", "--in", infile, "--cap", "5",
+                 "--report", str(report)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "CAP EXCEEDED: 10 edges exceeds decider cap 5\n"
+    assert json.loads(report.read_text()) == {
+        "answer": None, "cap_exceeded": "edge_cap",
+        "embeddings_enumerated": 0, "stats": vars(decider.DecideStats())}
+
+
 def test_decide_insertion_budget_exit_code(tmp_path, monkeypatch, capsys):
     """Past ``INSERTION_BUDGET`` insertion steps the rotation search stops
-    with CapExceeded, exit 3.  K2,2,2 ab-outer --geometric takes 51."""
+    with CapExceeded, exit 3.  K2,2,2 ab-outer --geometric takes 27: its
+    first tested assignment rejects the test's embedding and builds one
+    system.  The report counts the work up to the stop."""
     octahedron = Graph.build([(u, v) for u in range(6) for v in range(u + 1, 6)
                               if u // 2 != v // 2])
     infile = write_graph(tmp_path, "k222.edges", octahedron)
+    report = tmp_path / "r.json"
     args = ["decide", "--in", infile, "--pred", "ab-outer", "--a", "0",
-            "--b", "1", "--geometric", "--cap", "12"]
+            "--b", "1", "--geometric", "--cap", "12", "--report", str(report)]
     assert main(args) == 0
+    assert json.loads(report.read_text())["stats"]["insertions"] == 27
     monkeypatch.setattr(decider, "INSERTION_BUDGET", 20)
-    with pytest.raises(decider.CapExceeded):
+    with pytest.raises(decider.CapExceeded) as info:
         decider.decide(octahedron,
                        decider.Predicate("ab-outer", a=0, b=1, geometric=True),
                        cap=12)
+    assert info.value.limit == "insertion_budget"
+    assert info.value.stats.insertions == 21
     capsys.readouterr()
     assert main(args) == 3
-    assert "insertion steps" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "CAP EXCEEDED: rotation search exceeds 20 insertion steps\n")
+    got = json.loads(report.read_text())
+    assert got["answer"] is None and got["cap_exceeded"] == "insertion_budget"
+    assert got["embeddings_enumerated"] == 1
+    assert got["stats"] == {"assignments": 63, "crossing_lower_bound": 0,
+                            "face_bound_rejections": 61,
+                            "planarity_tests": 2, "planarity_failed": 1,
+                            "density_rejections": 0, "insertions": 21,
+                            "rotation_systems": 0, "valid_embeddings": 1,
+                            "outer_faces_checked": 10, "bw_candidates": 7,
+                            "memo_hits": 0}
 
 
 @pytest.mark.parametrize("options, written", [

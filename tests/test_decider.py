@@ -205,11 +205,20 @@ def test_k2_embedding_round_trip():
 
 
 def test_geometric_decide_on_a_long_path():
-    """One insertion step per edge: the search keeps its own stack, so a
-    path longer than Python's recursion limit is still answered."""
+    """One insertion step per edge: the rotation search keeps its own
+    stack, so a path longer than Python's recursion limit gets its one
+    system.  ``decide`` accepts the planarity test's embedding and builds
+    no system."""
     g = path_graph(1002)
+    stats = DecideStats()
+    skeleton = unrotated_embedding(g, [])
+    systems = list(_system_iter(skeleton, stats))
+    assert len(systems) == 1 and stats.rotation_systems == 1
+    assert stats.insertions == g.m
+    validate_embedding(systems[0])
     v = decide(g, Predicate(geometric=True), cap=g.m)
-    assert v.answer and v.stats.rotation_systems == 1
+    assert v.answer and v.stats.rotation_systems == 0
+    assert v.stats.insertions == 0 and v.stats.valid_embeddings == 1
     validate_embedding(v.witness)
 
 
@@ -303,10 +312,12 @@ def test_decide_stats_record():
     # K5 (m=10, n=5, girth 3) starts at one crossing, the Euler bound; its
     # first assignment is planar
     assert decide(k5, Predicate()).stats == _stats(1, 1, 1, 0, 0, 1, 1)
-    # face insertion builds its one genus-0 system (up to reflection) in 15
-    # insertion steps; the B/W check builds 4 candidates
+    # the geometric search examines the planarity test's embedding first
+    # and accepts it, so face insertion builds no system (its one genus-0
+    # system up to reflection took 15 insertion steps); the B/W check
+    # builds 4 candidates
     assert decide(k5, Predicate(geometric=True)).stats == \
-        _stats(1, 1, 1, 0, 1, 1, 5, insertions=15, bw=4)
+        _stats(1, 1, 1, 0, 0, 1, 5, bw=4)
     # K3,4 (m=12, n=7, girth 4) starts at 12 - 10 = 2 crossings, its
     # crossing number.  A planar planarization needs 2m - 4n + 8 = 4
     # triangles, all kite edges here, and 7 of the 8 two-crossing
@@ -315,8 +326,7 @@ def test_decide_stats_record():
     assert decide(k34, Predicate(), cap=12).stats == \
         _stats(8, 2, 1, 0, 0, 1, 1, face=7)
     v = decide(k34, Predicate(geometric=True), cap=12)
-    assert v.stats == _stats(8, 2, 1, 0, 1, 1, 4, insertions=21, bw=5,
-                             face=7)
+    assert v.stats == _stats(8, 2, 1, 0, 0, 1, 3, bw=5, face=7)
     assert v.embeddings_enumerated == 1
     # opposite octahedron vertices share no face of its plane embedding: with
     # the apex on them, every assignment below two crossings is non-planar;
@@ -336,7 +346,7 @@ def test_decide_stats_record():
     memo: dict = {}
     first = decide(k5, Predicate(geometric=True), memo=memo,
                    want_witness=False)
-    assert first.stats == _stats(1, 1, 1, 0, 1, 1, 5, insertions=15, bw=4)
+    assert first.stats == _stats(1, 1, 1, 0, 0, 1, 5, bw=4)
     hit = decide(complete_graph(5), Predicate(geometric=True), memo=memo,
                  want_witness=False)
     assert hit.answer and hit.stats == _stats(0, 0, 0, 0, 0, 0, 0, hits=1)

@@ -6,8 +6,17 @@ a byte of any output.
 The 13 topological ``decide/*`` entries (plain, ab-shared and k2 on K4, K5,
 K3,3 and W5, and 2K4) were re-recorded when the topological witness became
 the planarity test's embedding instead of the first rotation system in
-product order; every such witness must still validate.  The geometric
-entries still come from the rotation search and are unchanged.
+product order; every such witness must still validate.
+
+The 9 geometric ``decide/*`` entries on K5, K3,3 and W5 (geo, ab-outer-geo
+and a-outer-geo) were re-recorded when the geometric search began to
+examine the planarity test's embedding before any rotation system: each of
+these planarizations has 9 or more segments, so it is tested, and the
+test's embedding is accepted with no system built.  The witness is the
+test's rotation, apex removed, with the first outer face that holds the
+anchors and leaves no B/W configuration.  K4's 6 segments skip the test,
+so its three geometric entries still come from the rotation search and
+are unchanged.
 
 The ``simplify/parallel*``, ``simplify/antiparallel*`` and ``simplify/loop``
 entries were recorded while Rule I and Rule II still wrote out each strand
@@ -135,13 +144,13 @@ DIGESTS = {
     "decide/2K4/plain":
         "fa70d6ed3b3498176f7fc464290689431c2376e70014c3b8ecc3ec20f8244f30",
     "decide/K3,3/a-outer-geo":
-        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+        "5749ef7fc32405cafa39cf82d4e9e008760686b993f36c1f08ed67c83b2e5f3b",
     "decide/K3,3/ab-outer-geo":
-        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+        "5749ef7fc32405cafa39cf82d4e9e008760686b993f36c1f08ed67c83b2e5f3b",
     "decide/K3,3/ab-shared":
         "8d39d3b1e2f4f4b02d74263ed6cec88803e46bdadb04f6949aff4c2543debc39",
     "decide/K3,3/geo":
-        "cbe2b5240a45340ffcf4d253751875ab3193ef6b0e1779e535f3401392515fcb",
+        "5749ef7fc32405cafa39cf82d4e9e008760686b993f36c1f08ed67c83b2e5f3b",
     "decide/K3,3/k2":
         "8d39d3b1e2f4f4b02d74263ed6cec88803e46bdadb04f6949aff4c2543debc39",
     "decide/K3,3/plain":
@@ -159,25 +168,25 @@ DIGESTS = {
     "decide/K4/plain":
         "a9a7a008cc5593f3d4897e52fd1e85225ac334ec1451f321c5ada8fff9481f22",
     "decide/K5/a-outer-geo":
-        "2ae4c35dec0cac4b51b5826e1154a986b507e58f869ad8b1916dff6bef3a90de",
+        "a73043fa00bfb26c987005b3ad24acc25d28228ccb35175a1bc06c38e0efea61",
     "decide/K5/ab-outer-geo":
-        "6428f371f32cb971bd87b9698aa40cbb45e05c647a24dd811fb63d4269c3e2db",
+        "19f06aae478d338feb7ddf88091129b0d7149ed472cac9e2a90464825abf2ed5",
     "decide/K5/ab-shared":
         "470164b28ac7212e7e7207a81b25abf7a9322bd5aa464544aa3f77c621f9753b",
     "decide/K5/geo":
-        "2ae4c35dec0cac4b51b5826e1154a986b507e58f869ad8b1916dff6bef3a90de",
+        "a73043fa00bfb26c987005b3ad24acc25d28228ccb35175a1bc06c38e0efea61",
     "decide/K5/k2":
         "470164b28ac7212e7e7207a81b25abf7a9322bd5aa464544aa3f77c621f9753b",
     "decide/K5/plain":
         "470164b28ac7212e7e7207a81b25abf7a9322bd5aa464544aa3f77c621f9753b",
     "decide/W5/a-outer-geo":
-        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+        "13bc4b840ad70c917ee391c42b7d646bd16b47f3fdbda4fb9c14aa2d51ca208c",
     "decide/W5/ab-outer-geo":
-        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+        "13bc4b840ad70c917ee391c42b7d646bd16b47f3fdbda4fb9c14aa2d51ca208c",
     "decide/W5/ab-shared":
         "13bc4b840ad70c917ee391c42b7d646bd16b47f3fdbda4fb9c14aa2d51ca208c",
     "decide/W5/geo":
-        "b9b05c86db8b802dc471ac036ebcf07522e31f3ee45c79266afa537b0fb5edf2",
+        "13bc4b840ad70c917ee391c42b7d646bd16b47f3fdbda4fb9c14aa2d51ca208c",
     "decide/W5/k2":
         "13bc4b840ad70c917ee391c42b7d646bd16b47f3fdbda4fb9c14aa2d51ca208c",
     "decide/W5/plain":

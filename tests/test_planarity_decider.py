@@ -3,23 +3,26 @@
 graphs, under the six benchmark predicates plus topological a-outer and
 ab-outer.
 
-Verdicts must agree.  A geometric verdict keeps its witness byte for byte,
-since it still comes from the rotation search, and so does its count of
-valid embeddings, except that geometric ab-outer and ab-shared count only
-the assignments that pass the apex test; every topological witness, now
-the planarity test's embedding,
-must pass ``check-embedding`` (its JSON must read back through
+Verdicts must agree.  Every witness, the planarity test's embedding or,
+for a geometric predicate that rejects it, a system of the rotation
+search, must pass ``check-embedding`` (its JSON must read back through
 ``embedding_from_json``, which validates it), embed the graph and place its
-anchors."""
+anchors; a geometric witness must also leave no B/W configuration for its
+outer face.  A geometric verdict examines at most one embedding more than
+the rotation loop per assignment that passes the planarity test, the
+test's own; geometric ab-outer and ab-shared count the loop's embeddings
+only over the assignments that pass the apex test."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
 
+from oneplanar import decider
 from oneplanar.decider import (
     DecideStats,
     Predicate,
@@ -143,11 +146,10 @@ def compare(g: Graph, pred: Predicate) -> bool:
     if pred.geometric:
         if pred.variant in ("ab-outer", "ab-shared"):
             count = apex_gated_count(g, pred)
-        assert got.embeddings_enumerated == count
+        passed = got.stats.planarity_tests - got.stats.planarity_failed
+        assert got.embeddings_enumerated <= count + passed
         assert (got.witness is None) == (witness is None)
-        if witness is not None:
-            assert embedding_to_json(got.witness) == embedding_to_json(witness)
-    elif got.answer:
+    if got.answer:
         check_witness(got.witness, g, pred)
     return got.answer
 
@@ -215,3 +217,72 @@ def test_k6_planarizations_with_parallel_segments_fail(k, tests, lenses):
             lenses -= 1
             assert not nx.check_planarity(nx.Graph(segments))[0]
     assert seen == tests - 1 and lenses == 0
+
+
+def test_topological_witnesses_and_stats_keep_their_bytes():
+    """The geometric search's use of the test embedding leaves every
+    topological call alone: over the named and random graphs under the
+    five topological predicates (785 calls), the answers, witness JSON and
+    ``DecideStats`` hash to the sha256 recorded before the change."""
+    digest = hashlib.sha256()
+    calls = 0
+    for g in [NAMED[name] for name in sorted(NAMED)] + random_graphs():
+        for name in sorted(PREDICATES):
+            pred = PREDICATES[name]
+            if pred.geometric:
+                continue
+            got = decide(g, pred, cap=CAP)
+            text = ("None" if got.witness is None
+                    else embedding_to_json(got.witness))
+            stats = json.dumps(vars(got.stats), sort_keys=True)
+            digest.update(f"{name} {got.answer} {text} {stats}\n".encode())
+            calls += 1
+    assert calls == 785
+    assert digest.hexdigest() == (
+        "b171b1b823b9b90e9345cec1394baa074cefd67d5af96801960554be73a72b57")
+
+
+@pytest.mark.parametrize("graph", ["K3,4", "K2,2,2"])
+def test_rejected_test_embedding_falls_back_to_the_rotation_search(graph):
+    """Under geometric ab-outer with a = 0 and b = 1, the first assignment
+    that passes the apex test has a test embedding with no accepted outer
+    face; the rotation search then builds one system there, rejects it
+    too, and the next assignment's test embedding is accepted."""
+    g = NAMED[graph]
+    pred = Predicate("ab-outer", a=0, b=1, geometric=True)
+    got = decide(g, pred, cap=CAP)
+    assert got.answer
+    assert got.stats.rotation_systems == 1
+    assert got.stats.valid_embeddings == 3
+    check_witness(got.witness, g, pred)
+
+
+@pytest.mark.parametrize("pred", ["geo", "ab-outer-geo", "a-outer-geo"])
+@pytest.mark.parametrize("graph", ["K5", "K3,3", "K3,4"])
+def test_non_alternating_test_embedding_is_skipped(monkeypatch, graph,
+                                                   pred):
+    """The geometric search uses the test's rotation only when every dummy
+    alternates, by the check ``validate_embedding`` makes.  With a test
+    whose rotation has a dummy where two edges touch, ``decide`` falls back
+    to the rotation search: same answer, a witness that validates, and
+    every embedding it examines is a rotation system."""
+    g, p = NAMED[graph], PREDICATES[pred]
+    want = decide(g, p, cap=CAP)
+    test_rotation = _test_rotation
+
+    def bad(skeleton, apex=()):
+        """The test's rotation with the middle darts of the first dummy
+        swapped, so that its two edges touch there instead of crossing."""
+        rotation = test_rotation(skeleton, apex)
+        if rotation is None or not skeleton.crossings:
+            return rotation
+        dummy = skeleton.crossings[0].dummy
+        a, b, c, d = rotation[dummy]
+        return {**rotation, dummy: (a, c, b, d)}
+
+    monkeypatch.setattr(decider, "_test_rotation", bad)
+    got = decide(g, p, cap=CAP)
+    assert got.answer == want.answer
+    assert got.stats.rotation_systems == got.stats.valid_embeddings >= 1
+    assert got.witness.crossings
+    check_witness(got.witness, g, p)

@@ -148,7 +148,14 @@ def test_past_the_sort_limit_systems_stream_in_build_order(monkeypatch):
 
 def test_star_geometric_answers_from_its_first_systems():
     """K1,11 has 10!/2 genus-0 systems; building them all would pass the
-    insertion budget, but the first one is accepted."""
-    v = decide(star_graph(11), Predicate(geometric=True))
+    insertion budget, but past ``SORTED_SYSTEMS`` they stream, so the
+    first one comes after ``SORTED_SYSTEMS + 1`` are built.  ``decide``
+    accepts the planarity test's embedding and builds none."""
+    g = star_graph(11)
+    stats = DecideStats()
+    systems = _system_iter(unrotated_embedding(g, []), stats)
+    validate_embedding(next(systems))
+    assert stats.rotation_systems == decider.SORTED_SYSTEMS + 1
+    v = decide(g, Predicate(geometric=True))
     assert v.answer and v.witness is not None
-    assert v.stats.rotation_systems == decider.SORTED_SYSTEMS + 1
+    assert v.stats.rotation_systems == 0 and v.stats.insertions == 0
